@@ -72,7 +72,6 @@ class QueueTrace:
     service_times: np.ndarray       # W_i, attempt span of each delivered generation
     residuals: np.ndarray           # W_hat_i, attempts of the delivered packet itself
     interarrivals: np.ndarray       # V_i, idle slots before each generation
-    replacement_counts: np.ndarray  # N_i, replacements within each generation
 
 
 @dataclass(frozen=True)
@@ -117,12 +116,10 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     service_times: list[int] = []
     residuals: list[int] = []
     interarrivals: list[int] = []
-    replacement_counts: list[int] = []
 
     busy = bool(arrivals[0])
     attempts_gen = 0     # attempt slots of the current generation (W so far)
     attempts_cur = 0     # attempt slots of the current in-service packet (W_hat so far)
-    replacements = 0
     pending_v = 0        # admission slot minus previous delivery slot (V of the generation)
     last_delivery = 0    # phantom delivery at slot 0
     aoi = 1              # staircase value after the last reset (phantom age)
@@ -142,7 +139,6 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
                 service_times.append(attempts_gen)
                 residuals.append(attempts_cur)
                 interarrivals.append(pending_v)
-                replacement_counts.append(replacements)
                 prev_residual = attempts_cur
                 aoi = attempts_cur
                 busy = False
@@ -155,11 +151,10 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
         if arrivals[s]:
             if not busy:
                 busy = True
-                attempts_gen = attempts_cur = replacements = 0
+                attempts_gen = attempts_cur = 0
                 pending_v = s - last_delivery
             elif preemptive:
                 attempts_cur = 0
-                replacements += 1
             # non-preemptive and busy: dropped
         if record_path:
             aoi_path.append(aoi_pre)
@@ -173,7 +168,6 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
         service_times=w_arr,
         residuals=np.asarray(residuals, dtype=np.int64),
         interarrivals=np.asarray(interarrivals, dtype=np.int64),
-        replacement_counts=np.asarray(replacement_counts, dtype=np.int64),
     )
     count = peaks_arr.size
     stats = PaoiStats(

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -143,49 +144,50 @@ def _nl_config(cfg: NetworkConfig) -> NetworkConfig:
                                                  pr_max=cfg.harvester.pr_max))
 
 
-def _jsp_point(cfg: NetworkConfig, trials: int, seed: int, spec: QuadratureSpec) -> dict[str, float]:
+def _jsp_point(cfg: NetworkConfig, trials: int, seed: int, spec: QuadratureSpec) -> dict[str, tuple]:
     lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
     nl = _nl_config(cfg)
     out = {
-        "mc": jsp_monte_carlo(lin, trials=trials, seed=seed).value,
-        "lower": jsp_lower_bound(lin, regime="linear", spec=spec).value,
-        "upper": jsp_upper_bound(lin, regime="linear", spec=spec).value,
+        "mc": jsp_monte_carlo(lin, trials=trials, seed=seed),
+        "lower": jsp_lower_bound(lin, regime="linear", spec=spec),
+        "upper": jsp_upper_bound(lin, regime="linear", spec=spec),
     }
     nl_regime = select_regime(nl)
-    out["mc_nl"] = jsp_monte_carlo(nl, trials=trials, seed=seed).value
-    out["lower_nl"] = jsp_lower_bound(nl, regime=nl_regime, spec=spec).value
-    out["upper_nl"] = jsp_upper_bound(nl, regime=nl_regime, spec=spec).value
-    return out
+    out["mc_nl"] = jsp_monte_carlo(nl, trials=trials, seed=seed)
+    out["lower_nl"] = jsp_lower_bound(nl, regime=nl_regime, spec=spec)
+    out["upper_nl"] = jsp_upper_bound(nl, regime=nl_regime, spec=spec)
+    return {c: (est.value, est.converged) for c, est in out.items()}
 
 
 _JSP_COLUMNS = ("mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl")
 
 
-def _collect(rows: list[dict[str, float]], columns) -> dict[str, list[float]]:
-    return {c: [row[c] for row in rows] for c in columns}
+def _sweep_result(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis, axis_name: str,
+                  rows: list[dict[str, tuple]], columns) -> SweepResult:
+    """Columns from per-point {column: (value, converged)} rows; each value
+    whose quadrature did not converge is named on stderr."""
+    values = axis.values()
+    for x, row in zip(values, rows):
+        for c in columns:
+            if not row[c][1]:
+                print(f"warning: {spec.name}: {axis_name} = {_fmt(x)}: {c}: quadrature did not converge",
+                      file=sys.stderr)
+    return SweepResult(spec.name, axis_name, values, {c: [row[c][0] for row in rows] for c in columns},
+                       _metadata(cfg, spec, axis))
 
 
-def _paoi_value(closed_form, mu: float, p_a: float) -> float:
-    if mu <= 0.0:
-        return math.inf
-    return closed_form(mu, p_a)
+def _paoi_value(closed_form, mu, p_a: float) -> tuple[float, bool]:
+    return (closed_form(mu.value, p_a) if mu.value > 0.0 else math.inf), mu.converged
 
 
 def _run_jsp_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis, vary) -> SweepResult:
     qspec = QuadratureSpec()
-    values = axis.values()
 
-    def point(x: float) -> dict[str, float]:
+    def point(x: float) -> dict[str, tuple]:
         return _jsp_point(vary(cfg, x), spec.trials, spec.seed, qspec)
 
-    rows = _map_points(point, values)
-    return SweepResult(
-        experiment=spec.name,
-        axis_name=_axis_label(spec.name, axis),
-        axis=values,
-        series=_collect(rows, _JSP_COLUMNS),
-        metadata=_metadata(cfg, spec, axis),
-    )
+    rows = _map_points(point, axis.values())
+    return _sweep_result(cfg, spec, axis, _axis_label(spec.name, axis), rows, _JSP_COLUMNS)
 
 
 def _axis_label(name: str, axis: SweepAxis) -> str:
@@ -247,15 +249,14 @@ def run_experiment(cfg: NetworkConfig, spec: ExperimentSpec, plot: bool = False)
 
 def _run_paoi_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis) -> SweepResult:
     qspec = QuadratureSpec()
-    values = axis.values()
     p_a = spec.queue.p_a if spec.queue.p_a is not None else cfg.p_a
     lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
     nl = _nl_config(cfg)
 
-    def point(x: float) -> dict[str, float]:
-        mu_lin = jsp_lower_bound(replace(lin, xi=x), regime="linear", spec=qspec).value
+    def point(x: float) -> dict[str, tuple]:
+        mu_lin = jsp_lower_bound(replace(lin, xi=x), regime="linear", spec=qspec)
         nl_x = replace(nl, xi=x)
-        mu_nl = jsp_lower_bound(nl_x, regime=select_regime(nl_x), spec=qspec).value
+        mu_nl = jsp_lower_bound(nl_x, regime=select_regime(nl_x), spec=qspec)
         return {
             "np_upper": _paoi_value(paoi_np_closed_form, mu_lin, p_a),
             "p_upper": _paoi_value(paoi_p_closed_form, mu_lin, p_a),
@@ -263,18 +264,15 @@ def _run_paoi_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis) -
             "p_upper_nl": _paoi_value(paoi_p_closed_form, mu_nl, p_a),
         }
 
-    rows = _map_points(point, values)
-    return SweepResult(spec.name, "xi", values,
-                       _collect(rows, ("np_upper", "p_upper", "np_upper_nl", "p_upper_nl")),
-                       _metadata(cfg, spec, axis))
+    rows = _map_points(point, axis.values())
+    return _sweep_result(cfg, spec, axis, "xi", rows, ("np_upper", "p_upper", "np_upper_nl", "p_upper_nl"))
 
 
 def _run_xistar_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis) -> SweepResult:
-    values = axis.values()
     qspec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
 
-    def point(x: float) -> dict[str, float]:
+    def point(x: float) -> dict[str, tuple]:
         if spec.name == "xistar-vs-power":
             base = _vary_power(lin, x, axis.unit)
         else:
@@ -284,13 +282,12 @@ def _run_xistar_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis)
                              ("xi_star_paoi_np", "min_paoi_np_upper"),
                              ("xi_star_paoi_p", "min_paoi_p_upper")):
             opt = optimize_xi(XiObjective(kind=kind, cfg=base, spec=qspec), grid_step=0.05)
-            out[column] = opt.xi_star
+            out[column] = (opt.xi_star, opt.converged)
         return out
 
-    rows = _map_points(point, values)
-    return SweepResult(spec.name, _axis_label(spec.name, axis), values,
-                       _collect(rows, ("xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p")),
-                       _metadata(cfg, spec, axis))
+    rows = _map_points(point, axis.values())
+    return _sweep_result(cfg, spec, axis, _axis_label(spec.name, axis), rows,
+                         ("xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"))
 
 
 def _run_queue_path(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:

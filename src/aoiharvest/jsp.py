@@ -20,10 +20,14 @@ Two evaluation modes for the bounds:
   agree closely at the default geometry and the factored form is much
   simpler to state, but only the exact mode tracks the construction on
   small discs.
+
+Sweep points share work through two bounded memo caches: one Monte Carlo draw
+per geometry, and one evaluation per bound integral.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, replace
@@ -33,7 +37,7 @@ from scipy.special import gammaln
 
 from . import geometry
 from .geometry import DiscPpp
-from .model import NetworkConfig, sir_threshold
+from .model import HarvesterModel, NetworkConfig, sir_threshold
 from .quadrature import (
     _WG,
     _WK,
@@ -85,12 +89,9 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
     return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
 
 
-def _chunk_events(cfg: NetworkConfig, ppp: DiscPpp, beta: float, trials: int, rng) -> int:
-    counts, starts, d, g = geometry.sample_batch(ppp, trials, rng)
-    w = d ** -cfg.alpha
-    gw = g * w
-    total = np.add.reduceat(gw, starts)
-    serving = gw[starts]
+def _count_events(cfg: NetworkConfig, beta: float, sums: np.ndarray) -> int:
+    """Trials whose harvested energy and SIR clear both thresholds."""
+    serving, total = sums
     interference = total - serving
     pr = cfg.p_t * total
     linear = cfg.eta * cfg.xi * cfg.tau * pr
@@ -104,9 +105,28 @@ def _chunk_events(cfg: NetworkConfig, ppp: DiscPpp, beta: float, trials: int, rn
     return int(np.count_nonzero(ok))
 
 
-def _mc_chunk_size(mean_count: float) -> int:
-    # keep the flat point arrays around a few million entries per chunk
-    return min(1 << 14, max(1 << 10, int(4e6 / max(mean_count, 1.0))))
+@functools.lru_cache(maxsize=8)
+def _geometry_sums(ppp: DiscPpp, alpha: float, trials: int, seed: int, probe: bool) -> np.ndarray:
+    """Read-only (2, trials) rows: per-trial serving term and total of g d^-alpha.
+
+    Monte Carlo draws fixed-size chunks on streams spawned from ``seed``; the
+    regime probe draws one chunk from the stream (seed, 0xA01).
+    """
+    if probe:
+        chunk, streams = trials, [np.random.SeedSequence((seed, 0xA01))]
+    else:  # keep the flat point arrays around a few million entries per chunk
+        chunk = min(1 << 14, max(1 << 10, int(4e6 / max(ppp.mean_count, 1.0))))
+        streams = np.random.SeedSequence(seed).spawn((trials + chunk - 1) // chunk)
+    sums = np.empty((2, trials))  # filled in place: per-chunk arrays fragment the heap
+    for i, child in enumerate(streams):
+        part = slice(i * chunk, min(trials, (i + 1) * chunk))
+        _, starts, d, g = geometry.sample_batch(ppp, part.stop - part.start,
+                                                np.random.default_rng(child))
+        gw = g * d ** -alpha
+        sums[0, part] = gw[starts]
+        sums[1, part] = np.add.reduceat(gw, starts)
+    sums.flags.writeable = False
+    return sums
 
 
 def jsp_monte_carlo(cfg: NetworkConfig, trials: int = 100_000, seed: int = 0) -> JspEstimate:
@@ -117,19 +137,12 @@ def jsp_monte_carlo(cfg: NetworkConfig, trials: int = 100_000, seed: int = 0) ->
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    ppp = DiscPpp.from_config(cfg)
-    beta = sir_threshold(cfg)
-    chunk = _mc_chunk_size(ppp.mean_count)
-    n_chunks = (trials + chunk - 1) // chunk
-    successes = 0
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        n_i = min(chunk, trials - i * chunk)
-        successes += _chunk_events(cfg, ppp, beta, n_i, np.random.default_rng(child))
-    regime = select_regime(cfg)
+    sums = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, trials, seed, False)
+    successes = _count_events(cfg, sir_threshold(cfg), sums)
     return JspEstimate(
         value=successes / trials,
         method="monte_carlo",
-        regime=regime,
+        regime=select_regime(cfg),
         trials=trials,
         ci_halfwidth=wilson_halfwidth(successes, trials),
     )
@@ -145,11 +158,8 @@ def select_regime(cfg: NetworkConfig, seed: int = 0, probes: int = 4096) -> str:
     h = cfg.harvester
     if h.kind == "linear":
         return "linear"
-    ppp = DiscPpp.from_config(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA01)))
-    counts, starts, d, g = geometry.sample_batch(ppp, probes, rng)
-    pr = cfg.p_t * np.add.reduceat(g * d ** -cfg.alpha, starts)
-    mean_pr = float(pr.mean())
+    total = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, probes, seed, True)[1]
+    mean_pr = float((cfg.p_t * total).mean())
     if mean_pr < h.pr_min:
         return "case_a"
     if mean_pr > h.pr_max:
@@ -364,46 +374,42 @@ def _evaluate_1d(problem: _BoundProblem, spec: QuadratureSpec) -> tuple[float, f
     return res.value, res.error + problem.truncated_mass, res.converged
 
 
-def _resolve_regime(cfg: NetworkConfig, regime: str | None) -> str:
+@functools.lru_cache(maxsize=4096)
+def _bound_integral(cfg_key: NetworkConfig, integral: str, spec: QuadratureSpec,
+                    mode: str) -> tuple[float, float, bool]:
+    """(value, error, converged) of the "lower", "upper" or "saturated" integral.
+    No integral reads the circuit thresholds, so ``cfg_key`` has the default
+    harvester and linear and nonlinear columns share one evaluation."""
+    problem = _BoundProblem(cfg_key, spec, mode)
+    if integral == "saturated":
+        return _evaluate_1d(problem, spec)
+    inner = problem.inner_lower_general if integral == "lower" else problem.inner_upper_general
+    return _evaluate_2d(problem, inner, spec)
+
+
+def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None, mode: str,
+           side: str) -> JspEstimate:
     if regime is None:
-        return select_regime(cfg)
-    if regime not in REGIMES:
+        regime = select_regime(cfg)
+    elif regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    return regime
-
-
-def _zero_estimate(method: str, regime: str) -> JspEstimate:
-    return JspEstimate(value=0.0, method=method, regime=regime, quadrature_error=0.0)
+    method = f"analytic_{side}"
+    if regime == "case_a" or cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg)):
+        return JspEstimate(value=0.0, method=method, regime=regime, quadrature_error=0.0)
+    integral = "saturated" if side == "lower" and regime == "case_c" else side
+    value, err, ok = _bound_integral(replace(cfg, harvester=HarvesterModel()), integral,
+                                     spec or QuadratureSpec(), mode)
+    return JspEstimate(value=min(max(value, 0.0), 1.0), method=method,
+                       regime=regime, quadrature_error=err, converged=ok)
 
 
 def jsp_lower_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None, mode: str = "exact") -> JspEstimate:
     """Analytic lower bound of the JSP for the given operating regime."""
-    spec = spec or QuadratureSpec()
-    regime = _resolve_regime(cfg, regime)
-    if regime == "case_a":
-        return _zero_estimate("analytic_lower", regime)
-    if cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg)):
-        return _zero_estimate("analytic_lower", regime)
-    problem = _BoundProblem(cfg, spec, mode)
-    if regime == "case_c":
-        value, err, ok = _evaluate_1d(problem, spec)
-    else:
-        value, err, ok = _evaluate_2d(problem, problem.inner_lower_general, spec)
-    return JspEstimate(value=min(max(value, 0.0), 1.0), method="analytic_lower",
-                       regime=regime, quadrature_error=err, converged=ok)
+    return _bound(cfg, regime, spec, mode, "lower")
 
 
 def jsp_upper_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None, mode: str = "exact") -> JspEstimate:
     """Analytic upper bound of the JSP for the given operating regime."""
-    spec = spec or QuadratureSpec()
-    regime = _resolve_regime(cfg, regime)
-    if regime == "case_a":
-        return _zero_estimate("analytic_upper", regime)
-    if cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg)):
-        return _zero_estimate("analytic_upper", regime)
-    problem = _BoundProblem(cfg, spec, mode)
-    value, err, ok = _evaluate_2d(problem, problem.inner_upper_general, spec)
-    return JspEstimate(value=min(max(value, 0.0), 1.0), method="analytic_upper",
-                       regime=regime, quadrature_error=err, converged=ok)
+    return _bound(cfg, regime, spec, mode, "upper")

@@ -11,12 +11,11 @@ jitter.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 from .aoi import paoi_np_closed_form, paoi_p_closed_form
-from .jsp import jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound
+from .jsp import jsp_lower_bound, jsp_monte_carlo
 from .model import NetworkConfig
 from .quadrature import QuadratureSpec
 
@@ -25,7 +24,6 @@ __all__ = ["XiObjective", "XiOptimum", "evaluate_objective", "optimize_xi",
 
 OBJECTIVE_KINDS = (
     "max_jsp_lower",
-    "max_jsp_upper",
     "max_jsp_monte_carlo",
     "min_paoi_np_upper",
     "min_paoi_p_upper",
@@ -57,42 +55,30 @@ class XiOptimum:
     xi_star: float
     value: float
     evaluations: int
+    converged: bool = True        # every bound evaluated in the search converged
 
 
-@functools.lru_cache(maxsize=16384)
-def _jsp_lower_cached(cfg: NetworkConfig, spec: QuadratureSpec | None, mode: str) -> float:
-    return jsp_lower_bound(cfg, spec=spec, mode=mode).value
-
-
-@functools.lru_cache(maxsize=16384)
-def _jsp_upper_cached(cfg: NetworkConfig, spec: QuadratureSpec | None, mode: str) -> float:
-    return jsp_upper_bound(cfg, spec=spec, mode=mode).value
-
-
-@functools.lru_cache(maxsize=16384)
-def _jsp_mc_cached(cfg: NetworkConfig, trials: int, seed: int) -> float:
-    return jsp_monte_carlo(cfg, trials=trials, seed=seed).value
+def _objective(obj: XiObjective, xi: float) -> tuple[float, bool]:
+    """(objective value, whether its bound quadrature converged) at xi."""
+    if not 0.0 < xi < 1.0:
+        raise ValueError("xi must be in (0, 1)")
+    cfg = replace(obj.cfg, xi=xi)
+    if obj.kind == "max_jsp_monte_carlo":
+        return jsp_monte_carlo(cfg, trials=obj.trials, seed=obj.seed).value, True
+    lo = jsp_lower_bound(cfg, spec=obj.spec, mode=obj.mode)
+    if obj.kind == "max_jsp_lower":
+        return lo.value, lo.converged
+    if lo.value <= 0.0:
+        return math.inf, lo.converged
+    closed = paoi_np_closed_form if obj.kind == "min_paoi_np_upper" else paoi_p_closed_form
+    return closed(lo.value, obj.cfg.p_a), lo.converged
 
 
 def evaluate_objective(obj: XiObjective, xi: float) -> float:
     """Objective value at a candidate xi (larger is better for max kinds,
     smaller for min kinds). Peak-age kinds compose the closed forms with the
     analytic JSP lower bound at the same xi."""
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must be in (0, 1)")
-    cfg = replace(obj.cfg, xi=xi)
-    if obj.kind == "max_jsp_lower":
-        return _jsp_lower_cached(cfg, obj.spec, obj.mode)
-    if obj.kind == "max_jsp_upper":
-        return _jsp_upper_cached(cfg, obj.spec, obj.mode)
-    if obj.kind == "max_jsp_monte_carlo":
-        return _jsp_mc_cached(cfg, obj.trials, obj.seed)
-    mu = _jsp_lower_cached(cfg, obj.spec, obj.mode)
-    if mu <= 0.0:
-        return math.inf
-    if obj.kind == "min_paoi_np_upper":
-        return paoi_np_closed_form(mu, obj.cfg.p_a)
-    return paoi_p_closed_form(mu, obj.cfg.p_a)
+    return _objective(obj, xi)[0]
 
 
 def _is_min(kind: str) -> bool:
@@ -154,5 +140,12 @@ def optimize_xi(obj: XiObjective, grid_step: float = 0.02, refine_tol: float = 1
     refinement around the best grid point down to an interval of width
     refine_tol. Monte Carlo objectives keep a common seed across xi."""
     sign = 1.0 if _is_min(obj.kind) else -1.0  # minimize sign * value
-    x, fx, n_evals = search_scalar(lambda t: sign * evaluate_objective(obj, t), grid_step, refine_tol)
-    return XiOptimum(xi_star=x, value=sign * fx, evaluations=n_evals)
+    flags = []
+
+    def f(t: float) -> float:
+        value, ok = _objective(obj, t)
+        flags.append(ok)
+        return sign * value
+
+    x, fx, n_evals = search_scalar(f, grid_step, refine_tol)
+    return XiOptimum(xi_star=x, value=sign * fx, evaluations=n_evals, converged=all(flags))

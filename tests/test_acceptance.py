@@ -196,7 +196,7 @@ def test_criterion_6_trends(power_sweep, radius_sweep):
     decoding threshold is ~1.2e-3, too light for the interference side to
     bind anywhere on the 20-200 m grid, so the measured curve climbs to a
     plateau and the falling branch has no observable extent here; the peak is
-    allowed to sit at the plateau edge (see the decisions ledger).
+    allowed to sit at the plateau edge (see CHANGES.md).
     """
     # JSP non-decreasing in transmit power, up to CI noise
     mc = [power_sweep[db]["mc"] for db in POWER_GRID_DB]
@@ -234,7 +234,7 @@ def test_criterion_6_nl_agreement_at_high_power(power_sweep):
     calibrated default pr_min = 0.045 W that gap is about 0.011, an order
     above the 1e5-trial eps of about 0.001. The clause and the 5-eps
     separation clause are jointly unattainable on the Monte Carlo curves (see
-    the analysis in the decisions ledger), so this check is expected to fail;
+    the analysis in CHANGES.md), so this check is expected to fail;
     it is kept faithful to the stated criterion rather than loosened. The
     analytic bound curves DO coincide exactly at 20 dB (same operating
     regime), which is asserted first.
@@ -249,7 +249,7 @@ def test_criterion_6_nl_agreement_at_high_power(power_sweep):
 
     eps = lin["mc"].ci_halfwidth + nl_mc.ci_halfwidth
     gap = abs(lin["mc"].value - nl_mc.value)
-    status = "PASS" if gap <= eps else "FAIL (expected; see decisions ledger)"
+    status = "PASS" if gap <= eps else "FAIL (expected; see CHANGES.md)"
     _report(f"ACCEPTANCE 6 (high-power agreement) {status}: analytic curves coincide; "
           f"Monte Carlo gap at 20 dB = {gap:.4f} vs eps = {eps:.4f}")
     assert gap <= eps, ("the Monte Carlo L/NL gap at 20 dB is a structural property of a "

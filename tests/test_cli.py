@@ -1,6 +1,9 @@
 import csv
+import functools
 import json
+import sys
 
+from aoiharvest import experiments, jsp
 from aoiharvest.cli import main
 from aoiharvest.config import EXPERIMENT_NAMES
 
@@ -138,3 +141,43 @@ def test_thread_pool_output_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("AOI_EH_THREADS", "4")
     assert main(["run", cfg, "--out", str(out2)]) == 0
     assert (out1 / "jsp-vs-power.csv").read_bytes() == (out2 / "jsp-vs-power.csv").read_bytes()
+
+
+def test_cold_cache_output_matches_across_worker_counts(tmp_path, monkeypatch):
+    # Every run starts from empty caches, so pooled workers race to fill them.
+    cfg = write_cfg(tmp_path, (
+        "[experiment]\nname = jsp-vs-power\ntrials = 500\nseed = 6\n"
+        "sweep_start = 0\nsweep_stop = 12\nsweep_step = 3\nsweep_unit = dB\n"
+    ))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (None, "2", "4"):
+            jsp._geometry_sums.cache_clear()
+            jsp._bound_integral.cache_clear()
+            if threads is None:
+                monkeypatch.delenv("AOI_EH_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("AOI_EH_THREADS", threads)
+            out = tmp_path / f"t{threads}"
+            assert main(["run", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("jsp-vs-power.csv", "jsp-vs-power.csv.meta.json")])
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_unconverged_bound_is_reported(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "QuadratureSpec",
+                        functools.partial(experiments.QuadratureSpec, max_subdivisions=1))
+    cfg = write_cfg(tmp_path, (
+        "[experiment]\nname = jsp-vs-power\ntrials = 200\nseed = 1\n"
+        "sweep_start = 0\nsweep_stop = 10\nsweep_step = 10\nsweep_unit = dB\n"
+    ))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert "warning: jsp-vs-power: p_t_db = 0.0: lower: quadrature did not converge" in warnings
+    assert all(line.startswith("warning: jsp-vs-power: p_t_db = ") for line in warnings)
+    assert not any(": mc" in line for line in warnings)

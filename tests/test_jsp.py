@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import pytest
 
+from aoiharvest import geometry, jsp
+from aoiharvest.geometry import DiscPpp
 from aoiharvest.jsp import (
     JspEstimate,
     jsp_lower_bound,
@@ -16,6 +18,11 @@ from aoiharvest.quadrature import QuadratureSpec
 from oracles import jsp_brute_force, placement_bound_mc
 
 FAST_SPEC = QuadratureSpec(rel_tol=1e-5)
+
+
+def clear_jsp_caches():
+    jsp._geometry_sums.cache_clear()
+    jsp._bound_integral.cache_clear()
 
 
 def test_estimate_rejects_bad_probability():
@@ -173,3 +180,60 @@ def test_beta_recomputed_from_xi():
     lo_rate_starved = jsp_lower_bound(NetworkConfig(xi=0.999), regime="linear", spec=FAST_SPEC).value
     lo_energy_starved = jsp_lower_bound(NetworkConfig(xi=0.01), regime="linear", spec=FAST_SPEC).value
     assert lo_mid > lo_rate_starved and lo_mid > lo_energy_starved
+
+
+def _estimates(cfgs):
+    out = []
+    for cfg in cfgs:
+        for est in (jsp_monte_carlo(cfg, trials=5000, seed=13),
+                    jsp_lower_bound(cfg, spec=FAST_SPEC), jsp_upper_bound(cfg, spec=FAST_SPEC)):
+            out.append((cfg.harvester.kind, est))
+    return sorted(out, key=lambda pair: (pair[0], pair[1].method))
+
+
+def test_cold_and_warm_caches_agree_in_any_order():
+    lin = NetworkConfig(p_t=db_to_watt(6.0))
+    nl = replace(lin, harvester=HarvesterModel(kind="nonlinear", pr_min=0.045, pr_max=10.0))
+    clear_jsp_caches()
+    cold = _estimates([lin, nl])
+    warm = _estimates([lin, nl])
+    clear_jsp_caches()
+    nl_first = _estimates([nl, lin])
+    assert cold == warm == nl_first
+    assert [est.regime for _, est in cold] == ["linear"] * 3 + ["case_b"] * 3
+
+
+def test_geometry_is_sampled_once_per_sweep(monkeypatch):
+    calls = []
+    sample_batch = geometry.sample_batch
+
+    def counting(*args):
+        calls.append(args[1])
+        return sample_batch(*args)
+
+    monkeypatch.setattr(geometry, "sample_batch", counting)
+    clear_jsp_caches()
+    nl = HarvesterModel(kind="nonlinear", pr_min=0.045, pr_max=10.0)
+    for db in (0.0, 10.0, 20.0):
+        for harvester in (HarvesterModel(), nl):
+            jsp_monte_carlo(NetworkConfig(p_t=db_to_watt(db), harvester=harvester), trials=3000, seed=2)
+    assert calls == [3000, 4096]  # one Monte Carlo chunk, one regime probe
+
+
+def test_cached_sums_are_read_only():
+    cfg = NetworkConfig()
+    jsp_monte_carlo(cfg, trials=2000, seed=1)
+    sums = jsp._geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, 2000, 1, False)
+    with pytest.raises(ValueError):
+        sums[0, 0] = 1.0
+
+
+def test_bound_cache_hit_keeps_callers_regime():
+    lin = NetworkConfig()
+    nl = replace(lin, harvester=HarvesterModel(kind="nonlinear", pr_min=1e-12, pr_max=1e12))
+    a = jsp_upper_bound(lin, regime="linear", spec=FAST_SPEC)
+    hits = jsp._bound_integral.cache_info().hits
+    b = jsp_upper_bound(nl, regime="case_b", spec=FAST_SPEC)
+    assert jsp._bound_integral.cache_info().hits == hits + 1
+    assert (a.regime, b.regime) == ("linear", "case_b")
+    assert (b.value, b.quadrature_error, b.converged) == (a.value, a.quadrature_error, a.converged)

@@ -107,3 +107,10 @@ def test_degenerate_objective_reported():
     dead = replace(BASE, harvester=HarvesterModel(kind="nonlinear", pr_min=1e9, pr_max=1e10))
     with pytest.raises(DegenerateObjectiveError):
         optimize_xi(XiObjective(kind="max_jsp_lower", cfg=dead, spec=FAST_SPEC), grid_step=0.1)
+
+
+def test_optimum_reports_unconverged_bounds():
+    low_power = replace(BASE, p_t=1.0)
+    for spec, converged in ((FAST_SPEC, True), (QuadratureSpec(max_subdivisions=1), False)):
+        obj = XiObjective(kind="max_jsp_lower", cfg=low_power, spec=spec)
+        assert optimize_xi(obj, grid_step=0.1, refine_tol=1e-2).converged is converged
