@@ -4,22 +4,14 @@ harvested energy clears e_th AND the SIR clears the decoding threshold.
 Three routes to the same number: conditioned Monte Carlo over sampled
 realizations, an analytic lower bound (every interferer moved to the farthest
 distance for harvesting, to the serving distance for interference), and an
-analytic upper bound (the reverse placement). The bound integrals reduce to
-incomplete-gamma inner forms under a Poisson count series and one or two
-outer distance integrals.
-
-Two evaluation modes for the bounds:
-
-* ``mode="exact"`` (default) integrates the defining placement construction
-  exactly: conditional min/max distance densities given the count K = k and
-  an Erlang shape of k - 1 for the k - 1 interferer gains. This is the value
-  a Monte Carlo of the placement construction estimates.
-* ``mode="factored"`` treats the count and the two distances as independent:
-  the product of the two marginal distance densities, the unconditioned
-  Poisson PMF summed from k = 2, and an Erlang shape of k. The two modes
-  agree closely at the default geometry and the factored form is much
-  simpler to state, but only the exact mode tracks the construction on
-  small discs.
+analytic upper bound (the reverse placement). Each bound integrates its
+placement construction exactly: given the serving and farthest distances
+(d_1, d_K), the K - 2 points between them are Poisson with mean
+mu = lambda pi (d_K^2 - d_1^2), and the K - 1 interferer gains sum to an
+Erlang variable. The sum over the count then closes into one noncentral
+chi-square or modified Bessel function per node (Johnson, Kotz and
+Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 29;
+Abramowitz and Stegun 9.6.10), under one or two adaptive distance integrals.
 
 Sweep points share work through two bounded memo caches: one Monte Carlo draw
 per geometry, and one evaluation per bound integral.
@@ -28,26 +20,17 @@ per geometry, and one evaluation per bound integral.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
+from scipy import stats
+from scipy.special import chndtr, ive
 
 from . import geometry
 from .geometry import DiscPpp
 from .model import HarvesterModel, NetworkConfig, sir_threshold
-from .quadrature import (
-    _WG,
-    _WK,
-    _XK,
-    QuadratureSpec,
-    erlang_lower_log_rows,
-    erlang_upper_log_rows,
-    integrate_adaptive,
-    poisson_window,
-)
+from .quadrature import QuadratureSpec, integrate_adaptive
 
 __all__ = [
     "JspEstimate",
@@ -173,173 +156,130 @@ def _near_quantiles(ppp: DiscPpp, qs) -> list[float]:
     return [math.sqrt(-math.log1p(-q * mass) / lam_pi) for q in qs]
 
 
-def _far_quantiles(ppp: DiscPpp, qs) -> list[float]:
-    lam_pi = ppp.density * math.pi
-    m = ppp.mean_count
-    out = []
-    for q in qs:
-        v = q * -math.expm1(-m) + math.exp(-m)
-        r2 = ppp.radius**2 + math.log(v) / lam_pi
-        if r2 > 0:
-            out.append(math.sqrt(r2))
-    return out
-
-
 _SPLIT_QS = (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999)
 
 
-class _BoundProblem:
-    """Shared precomputation for one analytic bound evaluation."""
+def _lower_gamma_sum(mu, c, z, log_k):
+    """e^{log_k} sum_{n>=0} mu^n/n! erlang_lower(n + 1, c, z), elementwise, c >= 0.
 
-    def __init__(self, cfg: NetworkConfig, spec: QuadratureSpec, mode: str):
-        if mode not in ("exact", "factored"):
-            raise ValueError(f"mode must be 'exact' or 'factored', got {mode!r}")
-        self.cfg = cfg
-        self.mode = mode
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c). Below c z = 1e-12 it
+    takes the c -> 0 limit sum mu^n z^{n+1}/(n!(n+1)!) = sqrt(z/mu) I_1(2 sqrt(mu z)),
+    whose relative distance to the exact sum is about c z.
+    """
+    mu, c, z, log_k = np.broadcast_arrays(mu, c, z, log_k)
+    out = np.empty(z.shape)
+    lim = c * z < 1e-12
+    y = 2.0 * np.sqrt(mu[lim] * z[lim])
+    tiny = y < 1e-100  # 2 I_1(y)/y -> 1
+    i1_ratio = np.where(tiny, 1.0, 2.0 * ive(1, y) / np.where(tiny, 1.0, y))
+    out[lim] = np.exp(log_k[lim] + y) * z[lim] * i1_ratio
+    gam = ~lim
+    a = mu[gam] / c[gam]
+    out[gam] = np.exp(log_k[gam] + a) / c[gam] * chndtr(2.0 * c[gam] * z[gam], 2.0, 2.0 * a)
+    return out
+
+
+def _upper_gamma_sum(mu, c, z, log_k):
+    """e^{log_k} sum_{n>=0} mu^n/n! erlang_upper(n + 1, c, z), elementwise, c > 0.
+
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c). Where the CDF is below
+    1/2 the survival function is 1 - CDF to full relative precision; the direct
+    survival function is called only where it is below 1/2, because it raises
+    at tiny x once nc nears 700.
+    """
+    a = mu / c
+    x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
+    sf = 1.0 - chndtr(x, 2.0, nc)
+    direct = sf < 0.5
+    sf[direct] = stats.ncx2.sf(x[direct], 2.0, nc[direct])
+    return np.exp(log_k + a) / c * sf
+
+
+def _i0_minus_one(u, log_k):
+    """e^{log_k} (I_0(2 sqrt(u)) - 1) = e^{log_k} sum_{n>=1} u^n/(n!)^2.
+
+    Below u = 1 the series is summed directly (17 terms reach double
+    precision), so the subtraction never cancels digits.
+    """
+    small = u < 1.0
+    term = total = np.where(small, u, 0.0)
+    for n in range(2, 18):
+        term = term * u / (n * n)
+        total = total + term
+    y = 2.0 * np.sqrt(np.where(small, 0.0, u))
+    return np.where(small, np.exp(log_k) * total, np.exp(log_k + y) * ive(0, y) - np.exp(log_k))
+
+
+class _BoundProblem:
+    """Count-summed integrands of the analytic bounds for one configuration.
+
+    The joint density of (d_1, d_K) with n = K - 2 points between them is
+    C mu^n/n!, with mu = lambda pi (d_K^2 - d_1^2) and
+    C = e^{-m} (lambda pi)^2 4 d_1 d_K / P[K >= 2]; the K - 1 interferer gains
+    make an Erlang shape of n + 1. Every exponent of a closed form is folded
+    into one exp: mu/c <= lambda pi d_K^2 <= m for alpha >= 2, so nothing
+    overflows.
+    """
+
+    def __init__(self, cfg: NetworkConfig):
         self.ppp = DiscPpp.from_config(cfg)
         self.beta = sir_threshold(cfg)
         self.scale = cfg.e_th / (cfg.eta * cfg.xi * cfg.tau * cfg.p_t)  # xi > 0 guaranteed by caller
-        self.ks, pmf, self.truncated_mass = poisson_window(self.ppp, spec.series_mass)
-        self.shapes = self.ks - 1 if mode == "exact" else self.ks.copy()
-        self.log_pmf = np.log(pmf)
-        if mode == "exact":
-            self.log_pmf = self.log_pmf - math.log(self.ppp.prob_at_least_two)
-        self.pmf = np.exp(self.log_pmf)
         self.alpha = cfg.alpha
         self.radius = cfg.radius
+        self.lam_pi = cfg.density * math.pi
+        self.log_norm = -self.ppp.mean_count - math.log(self.ppp.prob_at_least_two)
 
-    # -- count-weighted distance densities ----------------------------------
-
-    def log_weights_joint(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
-        """(nk, p) log weights for aligned node vectors of (serving, farthest) pairs."""
-        r2 = self.radius**2
+    def _joint(self, d1: np.ndarray, dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(mu, log C) at aligned (serving, farthest) nodes."""
         with np.errstate(divide="ignore"):
-            if self.mode == "factored":
-                w = geometry.pdf_nearest(d1, self.ppp) * geometry.pdf_farthest(dk, self.ppp)
-                return self.log_pmf[:, None] + np.log(w)[None, :]
-            ks = self.ks.astype(float)[:, None]
-            log_geom = (np.log(2.0 * d1 / r2)[None, :] + np.log(2.0 * dk / r2)[None, :]
-                        + (ks - 2.0) * np.log((dk**2 - d1**2) / r2)[None, :]
-                        + np.log(ks) + np.log(ks - 1.0))
-        return self.log_pmf[:, None] + log_geom
+            log_c = self.log_norm + np.log(4.0 * self.lam_pi**2 * d1 * dk)
+        return self.lam_pi * (dk - d1) * (dk + d1), log_c
 
-    def log_weights_nearest(self, r: np.ndarray) -> np.ndarray:
-        """(nk, n) log weights for the serving distance alone."""
-        r2 = self.radius**2
-        with np.errstate(divide="ignore"):
-            if self.mode == "factored":
-                return self.log_pmf[:, None] + np.log(geometry.pdf_nearest(r, self.ppp))[None, :]
-            ks = self.ks.astype(float)[:, None]
-            log_geom = (np.log(ks) + np.log(2.0 * r / r2)[None, :]
-                        + (ks - 1.0) * np.log1p(-(r / self.radius) ** 2)[None, :])
-        return self.log_pmf[:, None] + log_geom
-
-    # -- inner incomplete-gamma terms, as (log term1, log term2) -------------
-
-    def inner_lower_general(self, d1: np.ndarray, dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Worst-placement terms: energy with interferers at d_K, SIR with them at d_1."""
+    def lower(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
+        """Worst placement: energy with interferers at d_K, SIR with them at d_1."""
         beta, a = self.beta, self.alpha
-        zs = self.scale / (beta * d1 ** -a + dk ** -a)
+        mu, log_c = self._joint(d1, dk)
+        z = self.scale / (beta * d1**-a + dk**-a)
         c1 = -np.expm1(a * np.log(d1 / dk))  # 1 - (d1/dk)^alpha, accurate near the diagonal
-        log_el = erlang_lower_log_rows(self.shapes, c1, zs)
-        log_eu = erlang_upper_log_rows(self.shapes, np.full_like(zs, beta + 1.0), zs)
-        return log_el - (self.scale * d1**a)[None, :], log_eu
+        return (_lower_gamma_sum(mu, c1, z, log_c - self.scale * d1**a)
+                + _upper_gamma_sum(mu, beta + 1.0, z, log_c))
 
-    def inner_upper_general(self, d1: np.ndarray, dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Best-placement terms: energy with interferers at d_1, SIR with them at d_K."""
+    def upper(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
+        """Best placement: energy with interferers at d_1, SIR with them at d_K."""
         beta, a = self.beta, self.alpha
-        zs = self.scale / (beta * dk ** -a + d1 ** -a)
-        sh = self.shapes.astype(float)[:, None]
+        mu, log_c = self._joint(d1, dk)
+        z = self.scale / (beta * dk**-a + d1**-a)
+        return (_lower_gamma_sum(mu, 0.0, z, log_c - self.scale * d1**a)
+                + _upper_gamma_sum(mu, beta * (d1 / dk) ** a + 1.0, z, log_c))
+
+    def saturated(self, r: np.ndarray) -> np.ndarray:
+        """Saturated-regime lower bound, everything referenced to the serving distance.
+
+        Here n = K - 1 >= 1 points lie beyond r, mu = lambda pi (R^2 - r^2), the
+        weight is e^{-m} lambda pi 2r mu^n/n! / P[K >= 2] and the Erlang shape
+        is n. With a = mu/(beta + 1) and x = scale r^alpha (= (beta + 1) z), the
+        gain term sum_{n>=1} a^n/n! Q(n, x) = e^a P[Poisson(a) > Poisson(x)]
+        = e^a ncx2.cdf(2a; 2, 2x), and the energy term is I_0(2 sqrt(a x)) - 1.
+        """
         with np.errstate(divide="ignore"):
-            log_el = sh * np.log(zs)[None, :] - gammaln(sh + 1.0)
-        rate2 = beta * (d1 / dk) ** a + 1.0
-        log_eu = erlang_upper_log_rows(self.shapes, rate2, zs)
-        return log_el - (self.scale * d1**a)[None, :], log_eu
-
-    def inner_lower_saturated(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Saturated-regime lower terms: everything referenced to the serving distance."""
-        beta, a = self.beta, self.alpha
-        zs = self.scale * r**a / (1.0 + beta)
-        sh = self.shapes.astype(float)[:, None]
-        with np.errstate(divide="ignore"):
-            log_el = sh * np.log(zs)[None, :] - gammaln(sh + 1.0)
-        log_eu = erlang_upper_log_rows(self.shapes, np.full_like(zs, beta + 1.0), zs)
-        return log_el - (self.scale * r**a)[None, :], log_eu
-
-
-def _gk15_batch(fu, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Kronrod panel of a vector-valued integrand; per-component errors."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    fx = np.asarray(fu(mid + half * _XK), dtype=float)  # (15, m)
-    vk = half * (_WK @ fx)
-    vg = half * (_WG @ fx[1::2])
-    err = np.abs(vk - vg)
-    scale = half * (_WK @ np.abs(fx - fx.mean(axis=0, keepdims=True)))
-    nz = (scale > 0) & (err > 0)
-    err[nz] = scale[nz] * np.minimum(1.0, (200.0 * err[nz] / scale[nz]) ** 1.5)
-    return vk, err
+            log_w = self.log_norm + np.log(2.0 * self.lam_pi * r)
+        a = self.lam_pi * (self.radius - r) * (self.radius + r) / (self.beta + 1.0)
+        x = self.scale * r**self.alpha
+        return (np.exp(log_w + a) * chndtr(2.0 * a, 2.0, 2.0 * x)
+                + _i0_minus_one(a * x, log_w - x))
 
 
 _INNER_U_SPLITS = (0.5, 0.9, 0.99)
 
 
-def _batch_inner(problem: _BoundProblem, inner, d1s: np.ndarray,
-                 spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """int_{d1}^{R} sum_k weights*inner ddk for a batch of serving distances.
+def _evaluate_2d(problem: _BoundProblem, integrand, spec: QuadratureSpec) -> tuple[float, float, bool]:
+    """Iterated 1-D quadrature of the integrand over 0 <= d1 <= dk <= R.
 
-    Substituting dk = d1 + u (R - d1) puts every node on the common interval
-    u in [0, 1], so one adaptive drive serves the whole batch.
+    Substituting dk = d1 + u (R - d1) puts every inner integral on u in [0, 1],
+    so one vector-valued adaptive drive serves all serving distances of an
+    outer panel.
     """
-    radius = problem.radius
-    d1s = np.atleast_1d(np.asarray(d1s, dtype=float))
-    span = radius - d1s
-    ok = span > 0
-    values = np.zeros(d1s.shape)
-    errors = np.zeros(d1s.shape)
-    if not np.any(ok):
-        return values, errors
-    d1a, spana = d1s[ok], span[ok]
-
-    def fu(u: np.ndarray) -> np.ndarray:
-        dk = d1a[None, :] + u[:, None] * spana[None, :]
-        d1f = np.broadcast_to(d1a[None, :], dk.shape).ravel()
-        dkf = dk.ravel()
-        logw = problem.log_weights_joint(d1f, dkf)
-        lt1, lt2 = inner(d1f, dkf)
-        g = (np.exp(logw + lt1) + np.exp(logw + lt2)).sum(axis=0)
-        return g.reshape(dk.shape) * spana[None, :]
-
-    cuts = [0.0, *_INNER_U_SPLITS, 1.0]
-    heap = []
-    total_v = np.zeros(d1a.shape)
-    total_e = np.zeros(d1a.shape)
-    n_panels = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v, e = _gk15_batch(fu, a, b)
-        heapq.heappush(heap, (-float(e.sum()), a, b, v, e))
-        total_v += v
-        total_e += e
-        n_panels += 1
-    while (n_panels < spec.max_subdivisions
-           and float(total_e.sum()) > max(spec.abs_tol, spec.rel_tol * float(np.abs(total_v).sum()))):
-        _, a, b, v, e = heapq.heappop(heap)
-        m = 0.5 * (a + b)
-        v1, e1 = _gk15_batch(fu, a, m)
-        v2, e2 = _gk15_batch(fu, m, b)
-        total_v += v1 + v2 - v
-        total_e += e1 + e2 - e
-        heapq.heappush(heap, (-float(e1.sum()), a, m, v1, e1))
-        heapq.heappush(heap, (-float(e2.sum()), m, b, v2, e2))
-        n_panels += 1
-
-    values[ok] = total_v
-    errors[ok] = total_e
-    return values, errors
-
-
-def _evaluate_2d(problem: _BoundProblem, inner, spec: QuadratureSpec) -> tuple[float, float, bool]:
-    """Iterated 1-D quadrature of sum_k weights * inner over 0 <= d1 <= dk <= R."""
     ppp, radius = problem.ppp, problem.radius
     inner_spec = replace(spec, rel_tol=max(spec.rel_tol / 3.0, 1e-12),
                          abs_tol=spec.abs_tol / (10.0 * radius), max_subdivisions=60)
@@ -348,46 +288,41 @@ def _evaluate_2d(problem: _BoundProblem, inner, spec: QuadratureSpec) -> tuple[f
 
     def outer_f(d1s: np.ndarray) -> np.ndarray:
         nonlocal inner_err_sum, inner_calls
-        vals, errs = _batch_inner(problem, inner, np.atleast_1d(d1s), inner_spec)
-        inner_err_sum += float(errs.sum())
-        inner_calls += errs.size
-        return vals
+        span = radius - d1s
+
+        def fu(u: np.ndarray) -> np.ndarray:
+            dk = d1s[None, :] + u[:, None] * span[None, :]
+            return integrand(np.broadcast_to(d1s, dk.shape), dk) * span[None, :]
+
+        inner = integrate_adaptive(fu, 0.0, 1.0, inner_spec, points=_INNER_U_SPLITS)
+        inner_err_sum += float(inner.error.sum())
+        inner_calls += inner.error.size
+        return inner.value
 
     outer = integrate_adaptive(outer_f, 0.0, radius, spec, points=_near_quantiles(ppp, _SPLIT_QS))
     # The outer integrand carries the inner estimates' noise; fold in its
     # average absolute error over the outer domain.
     inner_budget = radius * (inner_err_sum / inner_calls) if inner_calls else 0.0
-    err = outer.error + inner_budget + problem.truncated_mass
+    err = outer.error + inner_budget
     converged = outer.error <= max(spec.abs_tol, spec.rel_tol * abs(outer.value), 2.0 * inner_budget)
     return outer.value, err, converged
 
 
-def _evaluate_1d(problem: _BoundProblem, spec: QuadratureSpec) -> tuple[float, float, bool]:
-    def f(r: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(r)
-        logw = problem.log_weights_nearest(r)
-        lt1, lt2 = problem.inner_lower_saturated(r)
-        return (np.exp(logw + lt1) + np.exp(logw + lt2)).sum(axis=0)
-
-    res = integrate_adaptive(f, 0.0, problem.radius, spec,
-                             points=_near_quantiles(problem.ppp, _SPLIT_QS))
-    return res.value, res.error + problem.truncated_mass, res.converged
-
-
 @functools.lru_cache(maxsize=4096)
-def _bound_integral(cfg_key: NetworkConfig, integral: str, spec: QuadratureSpec,
-                    mode: str) -> tuple[float, float, bool]:
+def _bound_integral(cfg_key: NetworkConfig, integral: str, spec: QuadratureSpec) -> tuple[float, float, bool]:
     """(value, error, converged) of the "lower", "upper" or "saturated" integral.
     No integral reads the circuit thresholds, so ``cfg_key`` has the default
     harvester and linear and nonlinear columns share one evaluation."""
-    problem = _BoundProblem(cfg_key, spec, mode)
+    problem = _BoundProblem(cfg_key)
     if integral == "saturated":
-        return _evaluate_1d(problem, spec)
-    inner = problem.inner_lower_general if integral == "lower" else problem.inner_upper_general
-    return _evaluate_2d(problem, inner, spec)
+        res = integrate_adaptive(problem.saturated, 0.0, problem.radius, spec,
+                                 points=_near_quantiles(problem.ppp, _SPLIT_QS))
+        return res.value, res.error, res.converged
+    integrand = problem.lower if integral == "lower" else problem.upper
+    return _evaluate_2d(problem, integrand, spec)
 
 
-def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None, mode: str,
+def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None,
            side: str) -> JspEstimate:
     if regime is None:
         regime = select_regime(cfg)
@@ -398,18 +333,18 @@ def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None, 
         return JspEstimate(value=0.0, method=method, regime=regime, quadrature_error=0.0)
     integral = "saturated" if side == "lower" and regime == "case_c" else side
     value, err, ok = _bound_integral(replace(cfg, harvester=HarvesterModel()), integral,
-                                     spec or QuadratureSpec(), mode)
+                                     spec or QuadratureSpec())
     return JspEstimate(value=min(max(value, 0.0), 1.0), method=method,
                        regime=regime, quadrature_error=err, converged=ok)
 
 
 def jsp_lower_bound(cfg: NetworkConfig, regime: str | None = None,
-                    spec: QuadratureSpec | None = None, mode: str = "exact") -> JspEstimate:
+                    spec: QuadratureSpec | None = None) -> JspEstimate:
     """Analytic lower bound of the JSP for the given operating regime."""
-    return _bound(cfg, regime, spec, mode, "lower")
+    return _bound(cfg, regime, spec, "lower")
 
 
 def jsp_upper_bound(cfg: NetworkConfig, regime: str | None = None,
-                    spec: QuadratureSpec | None = None, mode: str = "exact") -> JspEstimate:
+                    spec: QuadratureSpec | None = None) -> JspEstimate:
     """Analytic upper bound of the JSP for the given operating regime."""
-    return _bound(cfg, regime, spec, mode, "upper")
+    return _bound(cfg, regime, spec, "upper")

@@ -4,9 +4,7 @@ peak-age objective.
 Every objective moves the harvesting duration and the decoding threshold
 together (both are functions of xi). Unimodality in xi is an observed
 property, not a guarantee, so golden-section refinement is seeded from a
-coarse grid scan rather than trusted globally. Monte Carlo objectives use
-common random numbers (the same seed at every xi) so the argmax is not noise
-jitter.
+coarse grid scan rather than trusted globally.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .aoi import paoi_np_closed_form, paoi_p_closed_form
-from .jsp import jsp_lower_bound, jsp_monte_carlo
+from .jsp import jsp_lower_bound
 from .model import NetworkConfig
 from .quadrature import QuadratureSpec
 
@@ -24,7 +22,6 @@ __all__ = ["XiObjective", "XiOptimum", "evaluate_objective", "optimize_xi",
 
 OBJECTIVE_KINDS = (
     "max_jsp_lower",
-    "max_jsp_monte_carlo",
     "min_paoi_np_upper",
     "min_paoi_p_upper",
 )
@@ -40,10 +37,7 @@ class DegenerateObjectiveError(ValueError):
 class XiObjective:
     kind: str
     cfg: NetworkConfig
-    trials: int = 20_000          # monte carlo kind only
-    seed: int = 0
     spec: QuadratureSpec | None = None
-    mode: str = "exact"
 
     def __post_init__(self) -> None:
         if self.kind not in OBJECTIVE_KINDS:
@@ -62,10 +56,7 @@ def _objective(obj: XiObjective, xi: float) -> tuple[float, bool]:
     """(objective value, whether its bound quadrature converged) at xi."""
     if not 0.0 < xi < 1.0:
         raise ValueError("xi must be in (0, 1)")
-    cfg = replace(obj.cfg, xi=xi)
-    if obj.kind == "max_jsp_monte_carlo":
-        return jsp_monte_carlo(cfg, trials=obj.trials, seed=obj.seed).value, True
-    lo = jsp_lower_bound(cfg, spec=obj.spec, mode=obj.mode)
+    lo = jsp_lower_bound(replace(obj.cfg, xi=xi), spec=obj.spec)
     if obj.kind == "max_jsp_lower":
         return lo.value, lo.converged
     if lo.value <= 0.0:
@@ -138,7 +129,7 @@ def search_scalar(f, grid_step: float, refine_tol: float) -> tuple[float, float,
 def optimize_xi(obj: XiObjective, grid_step: float = 0.02, refine_tol: float = 1e-3) -> XiOptimum:
     """Coarse grid scan over (grid_step, 1 - grid_step), then golden-section
     refinement around the best grid point down to an interval of width
-    refine_tol. Monte Carlo objectives keep a common seed across xi."""
+    refine_tol."""
     sign = 1.0 if _is_min(obj.kind) else -1.0  # minimize sign * value
     flags = []
 

@@ -1,10 +1,12 @@
 """Numerical machinery shared by the bound evaluators.
 
-Three pieces: closed incomplete-gamma forms for the inner integrals
-int z^{k-1}/(k-1)! e^{-c z} dz over [0, a] and [a, inf), a 1-D adaptive
-Gauss-Kronrod integrator for the outer distance integrals, and mass-controlled
-truncation of the Poisson count series. Gamma/factorial arithmetic stays in
-log space; counts reach several hundred at the largest disc radii.
+Three pieces: closed incomplete-gamma forms for the Erlang integrals
+int z^{k-1}/(k-1)! e^{-c z} dz over [0, a] and [a, inf), one adaptive
+Gauss-Kronrod integrator for scalar- or vector-valued integrands (the bound
+evaluators drive their inner and outer distance integrals through it), and a
+truncated Poisson count series for sums with no closed form. Gamma/factorial
+arithmetic stays in log space; shapes reach several hundred at the largest
+disc radii.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .geometry import DiscPpp, pmf_count
+from .geometry import DiscPpp
 
 __all__ = [
     "QuadratureSpec",
@@ -25,12 +27,8 @@ __all__ = [
     "SeriesResult",
     "erlang_lower",
     "erlang_upper",
-    "erlang_lower_log_rows",
-    "erlang_upper_log_rows",
-    "regularized_gamma_rows",
     "integrate_adaptive",
     "poisson_series",
-    "poisson_window",
     "DivergentIntegralError",
 ]
 
@@ -41,6 +39,9 @@ class DivergentIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Tolerances of the adaptive integrator; ``series_mass`` is only the
+    default retained Poisson mass of ``poisson_series``."""
+
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     max_subdivisions: int = 200
@@ -57,8 +58,8 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float
-    error: float
+    value: float | np.ndarray     # length-m arrays for an (n, m) integrand
+    error: float | np.ndarray
     converged: bool
     subdivisions: int
 
@@ -226,28 +227,32 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, lo: float, hi: float) -> tuple[float, float]:
+def _gk15(f, lo: float, hi: float):
+    """One Kronrod panel: value and error estimate per component of f."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)
-    vk = half * float(np.dot(_WK, fx))
-    vg = half * float(np.dot(_WG, fx[1::2]))
+    fx = np.asarray(f(mid + half * _XK), dtype=float)  # (15,) or (15, m)
+    vk = half * np.dot(_WK, fx)
+    vg = half * np.dot(_WG, fx[1::2])
     # Standard QUADPACK-style error sharpening of |K15 - G7|.
-    err = abs(vk - vg)
-    scale = half * float(np.dot(_WK, np.abs(fx - np.mean(fx))))
-    if scale > 0 and err > 0:
-        err = scale * min(1.0, (200.0 * err / scale) ** 1.5)
-    return vk, err
+    err = np.abs(vk - vg)
+    scale = half * np.dot(_WK, np.abs(fx - fx.mean(axis=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharp = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
+    return vk, np.where((scale > 0) & (err > 0), sharp, err)
 
 
 def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = None,
                        points=None) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of a vectorised callable on [lo, hi].
 
-    ``f`` must accept an ndarray of nodes. ``points`` seeds the initial
-    subdivision (useful for sharply peaked integrands). The result carries the
-    achieved error estimate; if ``max_subdivisions`` is exhausted the best
-    estimate is returned flagged non-converged.
+    ``f`` must accept an ndarray of n nodes and return n values, or an (n, m)
+    array for m integrands at once; then value and error are length-m arrays,
+    and the panel to split and the stopping rule follow the summed error.
+    ``points`` seeds the initial subdivision (useful for sharply peaked
+    integrands). The result carries the achieved error estimate; if
+    ``max_subdivisions`` is exhausted the best estimate is returned flagged
+    non-converged.
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -260,146 +265,34 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
         cuts += [p for p in points if lo < p < hi]
     cuts = sorted(set(cuts))
 
-    heap = []  # (-err, lo, hi, value, err)
+    def done() -> bool:
+        return bool(np.sum(total_e) <= max(spec.abs_tol, spec.rel_tol * np.sum(np.abs(total_v))))
+
+    heap = []  # (-summed err, lo, hi, value, err)
     total_v = 0.0
     total_e = 0.0
     n_panels = 0
     for a, b in zip(cuts[:-1], cuts[1:]):
         v, e = _gk15(f, a, b)
-        heapq.heappush(heap, (-e, a, b, v, e))
+        heapq.heappush(heap, (-float(np.sum(e)), a, b, v, e))
         total_v += v
         total_e += e
         n_panels += 1
 
-    while n_panels < spec.max_subdivisions:
-        if total_e <= max(spec.abs_tol, spec.rel_tol * abs(total_v)):
-            return IntegralResult(total_v, total_e, True, n_panels)
+    while n_panels < spec.max_subdivisions and not done():
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
         v1, e1 = _gk15(f, a, m)
         v2, e2 = _gk15(f, m, b)
         total_v += v1 + v2 - v
         total_e += e1 + e2 - e
-        heapq.heappush(heap, (-e1, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, m, b, v2, e2))
+        heapq.heappush(heap, (-float(np.sum(e1)), a, m, v1, e1))
+        heapq.heappush(heap, (-float(np.sum(e2)), m, b, v2, e2))
         n_panels += 1
 
-    converged = total_e <= max(spec.abs_tol, spec.rel_tol * abs(total_v))
-    return IntegralResult(total_v, total_e, converged, n_panels)
-
-
-def regularized_gamma_rows(shapes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(s, x) and Q(s, x) for consecutive integer shapes over a node vector.
-
-    One gammaincc call seeds the ascending recurrence Q(s+1,x) = Q(s,x) + t_s
-    and one gammainc call seeds the descending P(s,x) = P(s+1,x) + t_s, with
-    t_s = x^s e^{-x}/s!; both chains add positive terms only, so they are
-    stable for windows of several hundred shapes. This is the fast path the
-    bound integrands use; erlang_lower/erlang_upper stay the reference forms.
-    """
-    shapes = np.asarray(shapes, dtype=float)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nk, n = shapes.size, x.size
-    if nk == 1:
-        return gammainc(shapes[0], x)[None, :], gammaincc(shapes[0], x)[None, :]
-    if np.any(np.diff(shapes) != 1):
-        raise ValueError("shapes must be consecutive integers")
-
-    js = shapes[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-        logt = js[:, None] * logx[None, :] - x[None, :] - gammaln(js + 1.0)[:, None]
-    t = np.exp(logt)
-    pre = np.cumsum(t, axis=0)
-
-    q = np.empty((nk, n))
-    q[0] = gammaincc(shapes[0], x)
-    q[1:] = q[0][None, :] + pre
-
-    # Suffix sums via a reversed cumsum: purely additive, so no cancellation
-    # even when the suffix is many orders below the total.
-    suf = np.cumsum(t[::-1], axis=0)[::-1]
-    p = np.empty((nk, n))
-    p[-1] = gammainc(shapes[-1], x)
-    p[:-1] = p[-1][None, :] + suf
-
-    return np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0)
-
-
-def erlang_lower_log_rows(shapes: np.ndarray, c, a) -> np.ndarray:
-    """log of erlang_lower for consecutive integer shapes (rows) x nodes (cols).
-
-    Requires c >= 0 elementwise; columns with c*a below 1e-12 switch to the
-    c -> 0 polynomial limit a^s/s!.
-    """
-    shapes = np.asarray(shapes, dtype=float)
-    c, a = np.broadcast_arrays(np.atleast_1d(_asarray_f(c)), np.atleast_1d(_asarray_f(a)))
-    if np.any(c < 0):
-        raise ValueError("row form requires c >= 0")
-    x = c * a
-    p, _ = regularized_gamma_rows(shapes, x)
-    sh = shapes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loga = np.where(a > 0, np.log(np.where(a > 0, a, 1.0)), -np.inf)[None, :]
-        logc = np.where(c > 0, np.log(np.where(c > 0, c, 1.0)), -np.inf)[None, :]
-        logp = np.full(p.shape, -np.inf)
-        direct = p > _TINY
-        logp[direct] = np.log(p[direct])
-        tail = ~direct & np.broadcast_to((x > 0)[None, :], p.shape)
-        if np.any(tail):
-            k_mat = np.broadcast_to(sh, p.shape)
-            x_mat = np.broadcast_to(x[None, :], p.shape)
-            logp[tail] = _log_p_lower_series(k_mat[tail], x_mat[tail])
-        gamma_form = -sh * logc + logp
-        poly_form = sh * loga - gammaln(sh + 1.0)
-        out = np.where((x < 1e-12)[None, :], poly_form, gamma_form)
-    return out
-
-
-def erlang_upper_log_rows(shapes: np.ndarray, c, a) -> np.ndarray:
-    """log of erlang_upper for consecutive integer shapes (rows) x nodes (cols)."""
-    shapes = np.asarray(shapes, dtype=float)
-    c, a = np.broadcast_arrays(np.atleast_1d(_asarray_f(c)), np.atleast_1d(_asarray_f(a)))
-    if np.any(c <= 0):
-        raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
-    x = c * a
-    _, q = regularized_gamma_rows(shapes, x)
-    sh = shapes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logq = np.full(q.shape, -np.inf)
-        direct = q > _TINY
-        logq[direct] = np.log(q[direct])
-        tail = ~direct & np.broadcast_to((x > 0)[None, :], q.shape)
-        if np.any(tail):
-            k_mat = np.broadcast_to(sh, q.shape)
-            x_mat = np.broadcast_to(x[None, :], q.shape)
-            logq[tail] = _log_q_upper_series(k_mat[tail], x_mat[tail])
-        out = -sh * np.log(c)[None, :] + logq
-    return out
-
-
-def poisson_window(ppp: DiscPpp, series_mass: float, k_floor: int = 2) -> tuple[np.ndarray, np.ndarray, float]:
-    """Count window [k_lo, k_hi] retaining at least ``series_mass`` Poisson mass.
-
-    Returns (ks, pmf values, truncated mass). The lower edge never goes below
-    ``k_floor``; mass below the floor counts as truncated only if it lies
-    above the floor's own exclusion (k < 2 is excluded by conditioning).
-    """
-    m = ppp.mean_count
-    tail = 0.5 * (1.0 - series_mass)
-    k_lo = max(k_floor, int(stats.poisson.ppf(tail, m)) - 1)
-    k_hi = max(k_lo + 1, int(stats.poisson.ppf(1.0 - tail, m)) + 1)
-
-    def dropped(lo: int, hi: int) -> float:
-        above_floor = float(stats.poisson.sf(k_floor - 1, m))
-        retained = float(stats.poisson.cdf(hi, m) - stats.poisson.cdf(lo - 1, m))
-        return max(0.0, above_floor - retained)
-
-    while dropped(k_lo, k_hi) > (1.0 - series_mass) and (k_lo > k_floor or k_hi < m + 20 * math.sqrt(m) + 50):
-        k_lo = max(k_floor, k_lo - 2)
-        k_hi += 2
-    ks = np.arange(k_lo, k_hi + 1)
-    return ks, pmf_count(ks, ppp), dropped(k_lo, k_hi)
+    if np.ndim(total_v) == 0:
+        total_v, total_e = float(total_v), float(total_e)
+    return IntegralResult(total_v, total_e, done(), n_panels)
 
 
 def poisson_series(term, ppp: DiscPpp, series_mass: float | None = None,

@@ -4,6 +4,9 @@ Everything here deliberately avoids the library's samplers and closed forms:
 a different bit generator (MT19937), rejection-based conditioning on the
 count, rejection sampling of positions from the bounding square, and explicit
 per-trial loops. Slow but structurally unrelated to the code under test.
+The one exception, ``count_series_integrand``, reuses the library's Erlang
+integrals and Poisson PMF term by term: it checks the closed-form sums over
+the transmitter count, not those reference forms.
 """
 
 from __future__ import annotations
@@ -13,7 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
+from aoiharvest.quadrature import erlang_lower, erlang_upper
 
 
 def _sample_trial(cfg: NetworkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -116,3 +121,51 @@ def erlang_integrand(k: int, c: float):
         return np.exp((k - 1) * logz - c * z - lg)
 
     return f
+
+
+def count_series_integrand(cfg: NetworkConfig, kind: str, d1, dk=None) -> np.ndarray:
+    """Bound integrand as the plain count series, summed term by term over k >= 2.
+
+    kind = "lower" / "upper": the (d1, dk) integrand of the placement bounds,
+    weighted by the density of the nearest and farthest distances given K = k;
+    kind = "saturated": the serving-distance integrand of the saturated lower
+    bound (``dk`` unused). Each k contributes pmf(k)/P[K >= 2] times the
+    geometry factor times Erlang integrals of shape k - 1.
+    """
+    ppp = DiscPpp.from_config(cfg)
+    beta = sir_threshold(cfg)
+    scale = cfg.e_th / (cfg.eta * cfg.xi * cfg.tau * cfg.p_t)
+    a, radius = cfg.alpha, cfg.radius
+    d1 = np.asarray(d1, dtype=float)
+    s = scale * d1**a  # the energy term carries e^{-s}
+    if kind == "saturated":
+        z = s / (1.0 + beta)
+        c_energy, c_sir = np.zeros(d1.shape), np.full(d1.shape, beta + 1.0)
+        far = (radius - d1) * (radius + d1) / radius**2
+    else:
+        dk = np.asarray(dk, dtype=float)
+        far = (dk - d1) * (dk + d1) / radius**2
+        if kind == "lower":
+            z = scale / (beta * d1**-a + dk**-a)
+            c_energy, c_sir = -np.expm1(a * np.log(d1 / dk)), np.full(d1.shape, beta + 1.0)
+        else:
+            z = scale / (beta * dk**-a + d1**-a)
+            c_energy, c_sir = np.zeros(d1.shape), beta * (d1 / dk) ** a + 1.0
+    m = ppp.mean_count
+    total = np.zeros(d1.shape)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        for k in range(2, int(m + 20.0 * math.sqrt(m) + 50.0)):
+            if kind == "saturated":
+                geom = k * (2.0 * d1 / radius**2) * far ** (k - 1)
+            else:
+                geom = k * (k - 1) * (2.0 * d1 / radius**2) * (2.0 * dk / radius**2) * far ** (k - 2)
+            # e^{-s} erlang_lower(n, c, z) = erlang_lower(n, c e^{s/n}, z e^{-s/n}) (substitute
+            # t = u e^{s/n}) keeps both factors in double range. Past s/n = 700 the term is
+            # below (z e^{-700})^n/n!, i.e. zero.
+            log_shift = s / (k - 1)
+            shift = np.exp(np.minimum(log_shift, 700.0))
+            energy = np.where(log_shift > 700.0, 0.0,
+                              erlang_lower(k - 1, c_energy * shift, z / shift))
+            inner = energy + erlang_upper(k - 1, c_sir, z)
+            total += pmf_count(k, ppp) / ppp.prob_at_least_two * geom * inner
+    return total

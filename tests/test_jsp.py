@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from aoiharvest import geometry, jsp
@@ -15,7 +16,7 @@ from aoiharvest.jsp import (
 from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
 from aoiharvest.quadrature import QuadratureSpec
 
-from oracles import jsp_brute_force, placement_bound_mc
+from oracles import count_series_integrand, jsp_brute_force, placement_bound_mc
 
 FAST_SPEC = QuadratureSpec(rel_tol=1e-5)
 
@@ -149,28 +150,88 @@ def test_case_c_upper_uses_general_form():
     assert up_sat.value == pytest.approx(up_lin.value, abs=1e-9)
 
 
-def test_factored_mode_close_at_default_geometry():
-    cfg = NetworkConfig()
-    for fn in (jsp_lower_bound, jsp_upper_bound):
-        exact = fn(cfg, regime="linear", spec=FAST_SPEC)
-        factored = fn(cfg, regime="linear", spec=FAST_SPEC, mode="factored")
-        assert factored.value == pytest.approx(exact.value, abs=0.015)
-
-
-def test_factored_mode_departs_on_small_discs():
-    # at low counts the independence shortcuts become visible
-    cfg = NetworkConfig(radius=20.0)
-    exact = jsp_upper_bound(cfg, regime="linear", spec=FAST_SPEC)
-    factored = jsp_upper_bound(cfg, regime="linear", spec=FAST_SPEC, mode="factored")
-    assert factored.value - exact.value > 0.02
-
-
 def test_invalid_regime_and_mode_rejected():
     cfg = NetworkConfig()
     with pytest.raises(ValueError):
         jsp_lower_bound(cfg, regime="nope")
-    with pytest.raises(ValueError):
-        jsp_lower_bound(cfg, regime="linear", mode="approximate")
+
+
+def _oracle_nodes(radius):
+    """(d1, dk) pairs with d1 from 1e-4 R to (1 - 1e-6) R and dk from the
+    near-diagonal d1 (1 + 1e-9) to the rim, plus serving distances up to
+    (1 - 1e-9) R for the saturated integrand."""
+    fr = np.array([1e-4, 0.01, 0.3, 0.5, 0.8, 0.99, 1.0 - 1e-6])
+    gap = np.array([0.0, 1e-4, 0.1, 0.5, 1.0])
+    d1 = np.repeat(fr * radius, gap.size)
+    dk = d1 + np.tile(gap, fr.size) * (radius - d1)
+    dk = np.where(np.tile(gap, fr.size) == 0.0, d1 * (1.0 + 1e-9), dk)
+    r = np.array([1e-4, 0.01, 0.2, 0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 - 1e-9]) * radius
+    return d1, dk, r
+
+
+@pytest.mark.parametrize("radius", [20.0, 60.0, 200.0])
+@pytest.mark.parametrize("db", [0.0, 10.0, 20.0])
+def test_closed_form_integrands_match_count_series(radius, db):
+    cfg = NetworkConfig(radius=radius, p_t=db_to_watt(db))
+    problem = jsp._BoundProblem(cfg)
+    d1, dk, r = _oracle_nodes(radius)
+    pairs = [(problem.lower(d1, dk), count_series_integrand(cfg, "lower", d1, dk)),
+             (problem.upper(d1, dk), count_series_integrand(cfg, "upper", d1, dk)),
+             (problem.saturated(r), count_series_integrand(cfg, "saturated", r))]
+    for got, ref in pairs:
+        big = ref > 1e-60
+        np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(got[~big], ref[~big], rtol=0.0, atol=1e-15)
+
+
+COUNT_WINDOW_BOUNDS = {
+    (20.0, 0.0, "lower"): 0.09709082684839719,
+    (20.0, 0.0, "upper"): 0.25549826625713074,
+    (20.0, 20.0, "lower"): 0.946053751552841,
+    (20.0, 20.0, "upper"): 0.9731130424568513,
+    (60.0, 0.0, "lower"): 0.0868604876586519,
+    (60.0, 0.0, "upper"): 0.651443651281852,
+    (60.0, 20.0, "lower"): 0.8527318741438753,
+    (60.0, 20.0, "upper"): 0.9997428520640531,
+    (200.0, 0.0, "lower"): 0.07529605761639409,
+    (200.0, 0.0, "upper"): 0.9948596949654552,
+    (200.0, 20.0, "lower"): 0.5934630382002885,
+    (200.0, 20.0, "upper"): 0.999921081369282,
+}
+COUNT_WINDOW_SATURATED_LOWER = 0.9502034650313128
+TIGHT_SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+
+
+@pytest.mark.parametrize("key", sorted(COUNT_WINDOW_BOUNDS))
+def test_bounds_agree_with_count_window_evaluator(key):
+    """The pinned values are the bounds of the count-window series evaluator
+    that the closed forms replaced. Reproduce them on commit 177648f with
+
+        PYTHONPATH=src python3 -c "
+        from aoiharvest.jsp import jsp_lower_bound, jsp_upper_bound
+        from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
+        from aoiharvest.quadrature import QuadratureSpec
+        s = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13, series_mass=1 - 1e-13)
+        for r in (20.0, 60.0, 200.0):
+            for db in (0.0, 20.0):
+                c = NetworkConfig(radius=r, p_t=db_to_watt(db))
+                print(r, db, jsp_lower_bound(c, 'linear', s).value, jsp_upper_bound(c, 'linear', s).value)
+        h = HarvesterModel(kind='nonlinear', pr_min=0.0, pr_max=1e-9)
+        print(jsp_lower_bound(NetworkConfig(harvester=h), 'case_c', s).value)"
+    """
+    radius, db, side = key
+    fn = jsp_lower_bound if side == "lower" else jsp_upper_bound
+    est = fn(NetworkConfig(radius=radius, p_t=db_to_watt(db)), regime="linear", spec=TIGHT_SPEC)
+    assert est.converged
+    assert abs(est.value - COUNT_WINDOW_BOUNDS[key]) <= 1e-8
+
+
+def test_saturated_bound_agrees_with_count_window_evaluator():
+    """Pinned by the last line of the command in the test above."""
+    cfg = NetworkConfig(harvester=HarvesterModel(kind="nonlinear", pr_min=0.0, pr_max=1e-9))
+    est = jsp_lower_bound(cfg, regime="case_c", spec=TIGHT_SPEC)
+    assert est.converged
+    assert abs(est.value - COUNT_WINDOW_SATURATED_LOWER) <= 1e-8
 
 
 def test_beta_recomputed_from_xi():

@@ -94,15 +94,6 @@ def test_optimize_xi_coincidence_with_refinement():
     assert abs(stars[0] - stars[2]) <= 1e-3
 
 
-def test_monte_carlo_objective_deterministic():
-    obj = XiObjective(kind="max_jsp_monte_carlo", cfg=BASE, trials=4000, seed=42)
-    a = optimize_xi(obj, grid_step=0.1, refine_tol=5e-3)
-    b = optimize_xi(XiObjective(kind="max_jsp_monte_carlo", cfg=BASE, trials=4000, seed=42),
-                    grid_step=0.1, refine_tol=5e-3)
-    assert a.xi_star == b.xi_star
-    assert a.value == b.value
-
-
 def test_degenerate_objective_reported():
     dead = replace(BASE, harvester=HarvesterModel(kind="nonlinear", pr_min=1e9, pr_max=1e10))
     with pytest.raises(DegenerateObjectiveError):

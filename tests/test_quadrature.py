@@ -9,13 +9,9 @@ from aoiharvest.quadrature import (
     DivergentIntegralError,
     QuadratureSpec,
     erlang_lower,
-    erlang_lower_log_rows,
     erlang_upper,
-    erlang_upper_log_rows,
     integrate_adaptive,
     poisson_series,
-    poisson_window,
-    regularized_gamma_rows,
 )
 
 from oracles import erlang_integrand
@@ -113,6 +109,19 @@ def test_integrate_adaptive_with_points():
     assert res.value == pytest.approx(0.3 + 1.4, rel=1e-12)
 
 
+def test_vector_integrand_matches_scalar_calls():
+    rates = np.array([0.5, 1.0, 3.0, 12.0])
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+    res = integrate_adaptive(lambda x: np.exp(-np.outer(x, rates)), 0.0, 2.0, spec, points=[0.5])
+    assert res.value.shape == res.error.shape == rates.shape
+    assert res.converged is True
+    for j, c in enumerate(rates):
+        one = integrate_adaptive(lambda x: np.exp(-c * x), 0.0, 2.0, spec, points=[0.5])
+        exact = -math.expm1(-2.0 * c) / c
+        assert one.value == pytest.approx(exact, rel=1e-10)
+        assert res.value[j] == pytest.approx(one.value, rel=1e-10)
+
+
 def test_poisson_series_normalization():
     res = poisson_series(lambda k: pmf_count(k, DEFAULT_PPP), DEFAULT_PPP)
     assert res.value == pytest.approx(DEFAULT_PPP.prob_at_least_two, abs=1e-8)
@@ -126,44 +135,3 @@ def test_poisson_series_mean_identity():
     expected = m - 1.0 * pmf_count(1, DEFAULT_PPP) - 0.0 * pmf_count(0, DEFAULT_PPP)
     # the k-weighted truncated tail is ~k_max times the dropped mass
     assert res.value == pytest.approx(expected, abs=res.k_max * 1e-8 + 1e-9)
-
-
-def test_poisson_window_mass_accounting():
-    ks, pmf, truncated = poisson_window(DEFAULT_PPP, 1.0 - 1e-8)
-    assert ks[0] >= 2
-    assert truncated <= 1e-8
-    assert pmf.sum() + truncated == pytest.approx(
-        1.0 - pmf_count(0, DEFAULT_PPP) - pmf_count(1, DEFAULT_PPP), abs=1e-12)
-
-
-def test_regularized_gamma_rows_match_direct():
-    from scipy.special import gammainc, gammaincc
-    shapes = np.arange(5, 80)
-    x = np.array([0.0, 0.3, 4.2, 17.0, 55.0, 140.0])
-    p, q = regularized_gamma_rows(shapes, x)
-    for i, s in enumerate(shapes):
-        np.testing.assert_allclose(p[i], gammainc(s, x), rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(q[i], gammaincc(s, x), rtol=1e-11, atol=1e-13)
-
-
-def test_log_rows_match_scalar_forms():
-    shapes = np.arange(2, 40)
-    c = np.array([0.0, 1e-3, 0.37, 1.0, 12.0])
-    a = np.array([3.0, 8.0, 0.0, 2.5, 1.0])
-    rows = erlang_lower_log_rows(shapes, c, a)
-    for i, s in enumerate(shapes):
-        for j in range(c.size):
-            direct = erlang_lower(int(s), float(c[j]), float(a[j]))
-            got = math.exp(rows[i, j])
-            assert got == pytest.approx(direct, rel=1e-10, abs=1e-300), (s, c[j], a[j])
-    c_up = np.array([0.5, 1.0, 2.0, 1e2, 7.0])
-    rows_up = erlang_upper_log_rows(shapes, c_up, a)
-    for i, s in enumerate(shapes):
-        for j in range(c_up.size):
-            direct = erlang_upper(int(s), float(c_up[j]), float(a[j]))
-            got = math.exp(rows_up[i, j])
-            assert got == pytest.approx(direct, rel=1e-10, abs=1e-300), (s, c_up[j], a[j])
-    with pytest.raises(ValueError):
-        erlang_lower_log_rows(shapes, np.array([-1.0]), np.array([1.0]))
-    with pytest.raises(DivergentIntegralError):
-        erlang_upper_log_rows(shapes, np.array([0.0]), np.array([1.0]))
