@@ -96,86 +96,71 @@ def _batch_ci_halfwidth(samples: np.ndarray) -> float:
     return 1.959963984540054 * float(means.std(ddof=1)) / math.sqrt(n_batches)
 
 
-def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:
-    """Run the slot recursion and aggregate peak-age statistics.
+def _previous(x: np.ndarray) -> np.ndarray:
+    """x shifted one place later, with 0 (the phantom slot) in front."""
+    return np.concatenate(([0], x))[:x.size]
 
-    The peak age at each delivery is recorded twice: from the aging staircase
-    and from the tracked components (previous residual + idle gap + service
-    span); a mismatch raises, as a structural self-check of the accounting.
+
+def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:
+    """Simulate the slot recursion and aggregate peak-age statistics.
+
+    The server is empty after every success slot: it either delivered or had
+    nothing to send. So a success slot s is a delivery exactly when an arrival
+    fell in [s_prev, s - 1], s_prev being the previous success slot (0 for the
+    first, which counts the warm-up draw), and both disciplines deliver in the
+    same slots. Each generation is admitted at the first arrival at or after
+    the previous delivery; under preemption the delivered packet is the last
+    arrival before its delivery slot. The peak age at each delivery is
+    computed twice, from the aging staircase and from the components
+    (previous residual + idle gap + service span); a mismatch raises, as a
+    structural self-check of the accounting.
     """
     rng = np.random.default_rng(params.seed)
     n = params.n_slots
     # Index 0 is the warm-up arrival draw for the phantom delivery at slot 0.
-    arrivals = (rng.random(n + 1) < params.p_a).tolist()
-    successes = (rng.random(n) < params.mu).tolist()
-    preemptive = params.discipline == "preemptive"
+    arrivals = rng.random(n + 1) < params.p_a
+    success_slots = np.flatnonzero(rng.random(n) < params.mu) + 1
+    # Arrivals in [0, s - 1] for each success slot s; the count also indexes
+    # arrival_slots, which turns "first arrival at or after t" into a lookup.
+    arrived = np.cumsum(arrivals)[success_slots - 1]
+    delivered = arrived > _previous(arrived)
+    delivery_slots = success_slots[delivered]
+    arrived = arrived[delivered]
+    arrival_slots = np.flatnonzero(arrivals)
 
-    aoi_path = [] if record_path else None
-    peaks: list[int] = []
-    delivery_slots: list[int] = []
-    service_times: list[int] = []
-    residuals: list[int] = []
-    interarrivals: list[int] = []
+    prev_delivery = _previous(delivery_slots)
+    admitted = arrival_slots[_previous(arrived)]
+    service_times = delivery_slots - admitted
+    interarrivals = admitted - prev_delivery
+    if params.discipline == "preemptive":
+        residuals = delivery_slots - arrival_slots[arrived - 1]
+    else:
+        residuals = service_times
+    reset_age = np.concatenate(([1], residuals))  # the phantom packet's residual is 1
+    peaks = reset_age[:-1] + interarrivals + service_times
 
-    busy = bool(arrivals[0])
-    attempts_gen = 0     # attempt slots of the current generation (W so far)
-    attempts_cur = 0     # attempt slots of the current in-service packet (W_hat so far)
-    pending_v = 0        # admission slot minus previous delivery slot (V of the generation)
-    last_delivery = 0    # phantom delivery at slot 0
-    aoi = 1              # staircase value after the last reset (phantom age)
-    prev_residual = 1    # residual of the phantom packet
+    if record_path:
+        # Slot s (1-based) ages from the last delivery strictly before it.
+        resets = np.zeros(n, dtype=np.int64)
+        resets[delivery_slots[delivery_slots < n]] = 1
+        aoi_path = (reset_age - np.concatenate(([0], delivery_slots)))[np.cumsum(resets, out=resets)]
+        aoi_path += np.arange(1, n + 1)
+        staircase = aoi_path[delivery_slots - 1]
+    else:
+        aoi_path = np.empty(0, dtype=np.int64)
+        staircase = reset_age[:-1] + delivery_slots - prev_delivery
+    if not np.array_equal(peaks, staircase):
+        raise RuntimeError("AoI accounting mismatch between staircase and components")
 
-    for s in range(1, n + 1):
-        aoi_pre = aoi + 1
-        if busy:
-            attempts_gen += 1
-            attempts_cur += 1
-            if successes[s - 1]:
-                peak = prev_residual + pending_v + attempts_gen
-                if peak != aoi_pre:
-                    raise RuntimeError("AoI accounting mismatch between staircase and components")
-                peaks.append(peak)
-                delivery_slots.append(s)
-                service_times.append(attempts_gen)
-                residuals.append(attempts_cur)
-                interarrivals.append(pending_v)
-                prev_residual = attempts_cur
-                aoi = attempts_cur
-                busy = False
-                last_delivery = s
-            else:
-                aoi = aoi_pre
-        else:
-            aoi = aoi_pre
-        # Slot-end arrival processing: the attempt above always precedes it.
-        if arrivals[s]:
-            if not busy:
-                busy = True
-                attempts_gen = attempts_cur = 0
-                pending_v = s - last_delivery
-            elif preemptive:
-                attempts_cur = 0
-            # non-preemptive and busy: dropped
-        if record_path:
-            aoi_path.append(aoi_pre)
-
-    peaks_arr = np.asarray(peaks, dtype=np.int64)
-    w_arr = np.asarray(service_times, dtype=np.int64)
-    trace = QueueTrace(
-        aoi_path=np.asarray(aoi_path if record_path else [], dtype=np.int64),
-        paoi_samples=peaks_arr,
-        delivery_slots=np.asarray(delivery_slots, dtype=np.int64),
-        service_times=w_arr,
-        residuals=np.asarray(residuals, dtype=np.int64),
-        interarrivals=np.asarray(interarrivals, dtype=np.int64),
-    )
-    count = peaks_arr.size
+    trace = QueueTrace(aoi_path=aoi_path, paoi_samples=peaks, delivery_slots=delivery_slots,
+                       service_times=service_times, residuals=residuals, interarrivals=interarrivals)
+    count = peaks.size
     stats = PaoiStats(
-        mean_paoi=float(peaks_arr.mean()) if count else math.nan,
-        ci_halfwidth=_batch_ci_halfwidth(peaks_arr) if count else math.inf,
+        mean_paoi=float(peaks.mean()) if count else math.nan,
+        ci_halfwidth=_batch_ci_halfwidth(peaks) if count else math.inf,
         count=count,
-        mean_service=float(w_arr.mean()) if count else math.nan,
-        mean_residual=float(trace.residuals.mean()) if count else math.nan,
+        mean_service=float(service_times.mean()) if count else math.nan,
+        mean_residual=float(residuals.mean()) if count else math.nan,
     )
     return trace, stats
 

@@ -15,6 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .aoi import QueueParams, paoi_np_closed_form, paoi_p_closed_form, simulate_queue
 from .config import EXPERIMENT_NAMES, ExperimentSpec, SweepAxis
@@ -38,23 +40,24 @@ class UnknownExperimentError(ValueError):
 class SweepResult:
     experiment: str
     axis_name: str
-    axis: list[float]
-    series: dict[str, list[float]]
+    axis: list[float] | np.ndarray
+    series: dict[str, list[float] | np.ndarray]
     metadata: dict
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(x) if isinstance(x, float) else str(x)
+_CSV_CHUNK_ROWS = 65_536
 
 
 def write_csv(result: SweepResult, path: Path) -> None:
+    """CSV as ``csv.writer`` would write it (repr of every float, ``\\r\\n`` line
+    ends), formatted a bounded chunk of rows at a time so that long columns
+    never become one Python string per cell all at once."""
+    columns = [np.asarray(result.axis), *(np.asarray(v) for v in result.series.values())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([result.axis_name, *result.series.keys()])
-        for i, x in enumerate(result.axis):
-            writer.writerow([_fmt(x)] + [_fmt(vals[i]) for vals in result.series.values()])
+        csv.writer(fh).writerow([result.axis_name, *result.series.keys()])
+        for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            cells = [map(repr, c[lo:lo + _CSV_CHUNK_ROWS].tolist()) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)
@@ -87,8 +90,9 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 def write_svg(result: SweepResult, path: Path, width: int = 640, height: int = 420) -> None:
     """Optional post-step: a plain line chart of every finite series."""
     pad = 56
-    xs = result.axis
-    finite = [v for vals in result.series.values() for v in vals if math.isfinite(v)]
+    xs = np.asarray(result.axis).tolist()
+    series = {name: np.asarray(vals).tolist() for name, vals in result.series.items()}
+    finite = [v for vals in series.values() for v in vals if math.isfinite(v)]
     if not xs or not finite:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs), max(xs)
@@ -116,7 +120,7 @@ def write_svg(result: SweepResult, path: Path, width: int = 640, height: int = 4
         f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="11">{y_lo:g}</text>',
         f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="11">{y_hi:g}</text>',
     ]
-    for i, (name, vals) in enumerate(result.series.items()):
+    for i, (name, vals) in enumerate(series.items()):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
         pts = " ".join(f"{px(x):.1f},{py(v):.1f}" for x, v in zip(xs, vals) if math.isfinite(v))
         if pts:
@@ -170,7 +174,7 @@ def _sweep_result(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis, axi
     for x, row in zip(values, rows):
         for c in columns:
             if not row[c][1]:
-                print(f"warning: {spec.name}: {axis_name} = {_fmt(x)}: {c}: quadrature did not converge",
+                print(f"warning: {spec.name}: {axis_name} = {x!r}: {c}: quadrature did not converge",
                       file=sys.stderr)
     return SweepResult(spec.name, axis_name, values, {c: [row[c][0] for row in rows] for c in columns},
                        _metadata(cfg, spec, axis))
@@ -300,7 +304,6 @@ def _run_queue_path(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
     p_a = q.p_a if q.p_a is not None else cfg.p_a
     params = QueueParams(p_a=p_a, mu=mu, discipline=q.discipline, n_slots=q.n_slots, seed=spec.seed)
     trace, _ = simulate_queue(params)
-    slots = list(range(1, q.n_slots + 1))
-    return SweepResult("queue-path", "slot", [float(s) for s in slots],
-                       {"aoi": [float(v) for v in trace.aoi_path]},
+    return SweepResult("queue-path", "slot", np.arange(1.0, q.n_slots + 1),
+                       {"aoi": trace.aoi_path.astype(float)},
                        _metadata(cfg, spec, None) | {"mu": mu, "p_a": p_a})

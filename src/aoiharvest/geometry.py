@@ -24,12 +24,7 @@ __all__ = [
     "sample_batch",
     "pdf_nearest",
     "pdf_farthest",
-    "pdf_nearest_normalized",
-    "pdf_farthest_normalized",
-    "cdf_nearest_normalized",
-    "cdf_farthest_normalized",
     "pmf_count",
-    "truncated_mean_count",
 ]
 
 
@@ -124,7 +119,7 @@ def pdf_nearest(r, ppp: DiscPpp):
     """Serving-distance density 2*lam*pi*r*e^{-lam*pi*r^2} / P[K>=2] on [0, R].
 
     This is the form the bound integrals use verbatim; its mass on [0, R] is
-    (1 - e^{-m}) / P[K >= 2], slightly above one. See pdf_nearest_normalized.
+    (1 - e^{-m}) / P[K >= 2], slightly above one.
     """
     r = _check_domain(r, ppp)
     lam_pi = ppp.density * math.pi
@@ -136,34 +131,6 @@ def pdf_farthest(r, ppp: DiscPpp):
     r = _check_domain(r, ppp)
     lam_pi = ppp.density * math.pi
     return 2.0 * lam_pi * r * np.exp(-lam_pi * (ppp.radius**2 - r**2)) / ppp.prob_at_least_two
-
-
-def _single_axis_mass(ppp: DiscPpp) -> float:
-    """Common mass of pdf_nearest / pdf_farthest over [0, R]."""
-    return -math.expm1(-ppp.mean_count) / ppp.prob_at_least_two
-
-
-def pdf_nearest_normalized(r, ppp: DiscPpp):
-    """pdf_nearest rescaled to unit mass on [0, R] (for distribution fits)."""
-    return pdf_nearest(r, ppp) / _single_axis_mass(ppp)
-
-
-def pdf_farthest_normalized(r, ppp: DiscPpp):
-    """pdf_farthest rescaled to unit mass on [0, R] (for distribution fits)."""
-    return pdf_farthest(r, ppp) / _single_axis_mass(ppp)
-
-
-def cdf_nearest_normalized(r, ppp: DiscPpp):
-    r = _check_domain(r, ppp)
-    lam_pi = ppp.density * math.pi
-    return -np.expm1(-lam_pi * r**2) / -math.expm1(-ppp.mean_count)
-
-
-def cdf_farthest_normalized(r, ppp: DiscPpp):
-    r = _check_domain(r, ppp)
-    lam_pi = ppp.density * math.pi
-    m = ppp.mean_count
-    return (np.exp(-lam_pi * (ppp.radius**2 - r**2)) - math.exp(-m)) / -math.expm1(-m)
 
 
 def pmf_count(k, ppp: DiscPpp):
@@ -179,9 +146,3 @@ def pmf_count(k, ppp: DiscPpp):
     out = np.exp(logp)
     return float(out) if out.ndim == 0 else out
 
-
-def truncated_mean_count(ppp: DiscPpp) -> float:
-    """E[K | K >= 2], from the PMF table."""
-    ks, cdf = _truncated_count_table(ppp)
-    pmf = np.diff(cdf, prepend=0.0)
-    return float(np.dot(ks, pmf))

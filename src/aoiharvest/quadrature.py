@@ -112,8 +112,14 @@ def _log_q_upper_series(k: np.ndarray, x: np.ndarray) -> np.ndarray:
         return (k - 1.0) * logx - x - gammaln(k) + np.log(total)
 
 
-def _asarray_f(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+def _erlang_args(k, c, a) -> list[np.ndarray]:
+    """Broadcast (k, c, a) to float arrays; NaN anywhere and non-integer k raise."""
+    k_in, c_in, a_in = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (k, c, a)))
+    if np.isnan(c_in).any() or np.isnan(a_in).any():
+        raise ValueError("rate c and limit a must not be NaN")
+    if np.any(k_in < 1) or np.any(k_in != np.floor(k_in)):
+        raise ValueError("shape k must be an integer >= 1")
+    return [k_in, c_in, a_in]
 
 
 def erlang_lower(k, c, a, spec: QuadratureSpec | None = None):
@@ -122,9 +128,7 @@ def erlang_lower(k, c, a, spec: QuadratureSpec | None = None):
     c > 0 uses the regularized lower incomplete gamma, c = 0 the polynomial
     a^k/k!, c < 0 adaptive quadrature of the (finite, bounded) integrand.
     """
-    k_in, c_in, a_in = np.broadcast_arrays(_asarray_f(k), _asarray_f(c), _asarray_f(a))
-    if np.any(k_in < 1) or np.any(k_in != np.floor(k_in)):
-        raise ValueError("shape k must be an integer >= 1")
+    k_in, c_in, a_in = _erlang_args(k, c, a)
     if np.any(a_in < 0):
         raise ValueError("upper limit a must be >= 0")
 
@@ -179,9 +183,7 @@ def _erlang_lower_negative(k: float, c: float, a: float, spec: QuadratureSpec | 
 
 def erlang_upper(k, c, a):
     """int_a^inf z^{k-1}/(k-1)! * e^{-c z} dz; requires c > 0 to converge."""
-    k_in, c_in, a_in = np.broadcast_arrays(_asarray_f(k), _asarray_f(c), _asarray_f(a))
-    if np.any(k_in < 1) or np.any(k_in != np.floor(k_in)):
-        raise ValueError("shape k must be an integer >= 1")
+    k_in, c_in, a_in = _erlang_args(k, c, a)
     if np.any(c_in <= 0):
         raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
     if np.any(a_in < 0):

@@ -4,9 +4,13 @@ Everything here deliberately avoids the library's samplers and closed forms:
 a different bit generator (MT19937), rejection-based conditioning on the
 count, rejection sampling of positions from the bounding square, and explicit
 per-trial loops. Slow but structurally unrelated to the code under test.
-The one exception, ``count_series_integrand``, reuses the library's Erlang
+Two exceptions. ``count_series_integrand`` reuses the library's Erlang
 integrals and Poisson PMF term by term: it checks the closed-form sums over
-the transmitter count, not those reference forms.
+the transmitter count, not those reference forms. ``simulate_queue_loop``
+draws exactly what ``aoi.simulate_queue`` draws and walks the slot recursion
+one slot at a time, so the vectorised simulator must match it bit for bit.
+The normalized distance laws and the truncated count mean are references for
+the samplers' distribution fits.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from aoiharvest.geometry import DiscPpp, pmf_count
+from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
+from aoiharvest.geometry import DiscPpp, pdf_farthest, pdf_nearest, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
 from aoiharvest.quadrature import erlang_lower, erlang_upper
 
@@ -102,6 +107,42 @@ def placement_bound_mc(cfg: NetworkConfig, kind: str, trials: int, seed: int) ->
     return p, 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
 
 
+def _single_axis_mass(ppp: DiscPpp) -> float:
+    """Common mass of pdf_nearest / pdf_farthest over [0, R]: (1 - e^{-m}) / P[K >= 2]."""
+    return -math.expm1(-ppp.mean_count) / ppp.prob_at_least_two
+
+
+def pdf_nearest_normalized(r, ppp: DiscPpp):
+    """pdf_nearest rescaled to unit mass on [0, R] (for distribution fits)."""
+    return pdf_nearest(r, ppp) / _single_axis_mass(ppp)
+
+
+def pdf_farthest_normalized(r, ppp: DiscPpp):
+    """pdf_farthest rescaled to unit mass on [0, R] (for distribution fits)."""
+    return pdf_farthest(r, ppp) / _single_axis_mass(ppp)
+
+
+def cdf_nearest_normalized(r, ppp: DiscPpp):
+    """CDF of the nearest distance on [0, R], normalized to unit mass."""
+    lam_pi = ppp.density * math.pi
+    r = np.asarray(r, dtype=float)
+    return -np.expm1(-lam_pi * r**2) / -math.expm1(-ppp.mean_count)
+
+
+def cdf_farthest_normalized(r, ppp: DiscPpp):
+    """CDF of the farthest distance on [0, R], normalized to unit mass."""
+    lam_pi = ppp.density * math.pi
+    m = ppp.mean_count
+    r = np.asarray(r, dtype=float)
+    return (np.exp(-lam_pi * (ppp.radius**2 - r**2)) - math.exp(-m)) / -math.expm1(-m)
+
+
+def truncated_mean_count(ppp: DiscPpp) -> float:
+    """E[K | K >= 2] = (m - P[K = 1]) / P[K >= 2], with P[K = 1] = m e^{-m}."""
+    m = ppp.mean_count
+    return (m - m * math.exp(-m)) / ppp.prob_at_least_two
+
+
 def poisson_pmf_exact(k: int, mean: float) -> float:
     """Poisson PMF via exact rational arithmetic on the float mean."""
     m = Fraction(mean)
@@ -169,3 +210,87 @@ def count_series_integrand(cfg: NetworkConfig, kind: str, d1, dk=None) -> np.nda
             inner = energy + erlang_upper(k - 1, c_sir, z)
             total += pmf_count(k, ppp) / ppp.prob_at_least_two * geom * inner
     return total
+
+
+def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:
+    """Reference Geo/Geo/1 simulator: the plain slot recursion, one slot at a time.
+
+    Same draws and same slot convention as ``aoi.simulate_queue`` (attempt
+    first, then the slot's arrival), so every trace array and statistic must
+    agree bit for bit.
+    """
+    rng = np.random.default_rng(params.seed)
+    n = params.n_slots
+    # Index 0 is the warm-up arrival draw for the phantom delivery at slot 0.
+    arrivals = (rng.random(n + 1) < params.p_a).tolist()
+    successes = (rng.random(n) < params.mu).tolist()
+    preemptive = params.discipline == "preemptive"
+
+    aoi_path = [] if record_path else None
+    peaks: list[int] = []
+    delivery_slots: list[int] = []
+    service_times: list[int] = []
+    residuals: list[int] = []
+    interarrivals: list[int] = []
+
+    busy = bool(arrivals[0])
+    attempts_gen = 0     # attempt slots of the current generation (W so far)
+    attempts_cur = 0     # attempt slots of the current in-service packet (W_hat so far)
+    pending_v = 0        # admission slot minus previous delivery slot (V of the generation)
+    last_delivery = 0    # phantom delivery at slot 0
+    aoi = 1              # staircase value after the last reset (phantom age)
+    prev_residual = 1    # residual of the phantom packet
+
+    for s in range(1, n + 1):
+        aoi_pre = aoi + 1
+        if busy:
+            attempts_gen += 1
+            attempts_cur += 1
+            if successes[s - 1]:
+                peak = prev_residual + pending_v + attempts_gen
+                if peak != aoi_pre:
+                    raise RuntimeError("AoI accounting mismatch between staircase and components")
+                peaks.append(peak)
+                delivery_slots.append(s)
+                service_times.append(attempts_gen)
+                residuals.append(attempts_cur)
+                interarrivals.append(pending_v)
+                prev_residual = attempts_cur
+                aoi = attempts_cur
+                busy = False
+                last_delivery = s
+            else:
+                aoi = aoi_pre
+        else:
+            aoi = aoi_pre
+        # Slot-end arrival processing: the attempt above always precedes it.
+        if arrivals[s]:
+            if not busy:
+                busy = True
+                attempts_gen = attempts_cur = 0
+                pending_v = s - last_delivery
+            elif preemptive:
+                attempts_cur = 0
+            # non-preemptive and busy: dropped
+        if record_path:
+            aoi_path.append(aoi_pre)
+
+    peaks_arr = np.asarray(peaks, dtype=np.int64)
+    w_arr = np.asarray(service_times, dtype=np.int64)
+    trace = QueueTrace(
+        aoi_path=np.asarray(aoi_path if record_path else [], dtype=np.int64),
+        paoi_samples=peaks_arr,
+        delivery_slots=np.asarray(delivery_slots, dtype=np.int64),
+        service_times=w_arr,
+        residuals=np.asarray(residuals, dtype=np.int64),
+        interarrivals=np.asarray(interarrivals, dtype=np.int64),
+    )
+    count = peaks_arr.size
+    stats = PaoiStats(
+        mean_paoi=float(peaks_arr.mean()) if count else math.nan,
+        ci_halfwidth=_batch_ci_halfwidth(peaks_arr) if count else math.inf,
+        count=count,
+        mean_service=float(w_arr.mean()) if count else math.nan,
+        mean_residual=float(trace.residuals.mean()) if count else math.nan,
+    )
+    return trace, stats

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +15,8 @@ from aoiharvest.aoi import (
     residual_pmf,
     simulate_queue,
 )
+
+from oracles import simulate_queue_loop
 
 
 def test_params_validation():
@@ -171,3 +175,35 @@ def test_stats_fields_populated():
     assert stats.count > 0
     assert stats.mean_paoi >= 1.0
     assert stats.ci_halfwidth > 0
+
+
+def _assert_bit_identical(params, record_path):
+    trace, stats = simulate_queue(params, record_path=record_path)
+    ref_trace, ref_stats = simulate_queue_loop(params, record_path=record_path)
+    for field in dataclasses.fields(trace):
+        got, want = getattr(trace, field.name), getattr(ref_trace, field.name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (field.name, params, record_path)
+    for field in dataclasses.fields(stats):
+        got, want = getattr(stats, field.name), getattr(ref_stats, field.name)
+        assert type(got) is type(want), (field.name, params)
+        assert got == want or (math.isnan(got) and math.isnan(want)), (field.name, params, got, want)
+    return stats
+
+
+@pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
+@pytest.mark.parametrize("record_path", [True, False])
+@pytest.mark.parametrize("n_slots", [1, 2, 200_000])
+def test_vectorised_simulator_matches_slot_loop(discipline, record_path, n_slots):
+    rates = (0.05, 0.3, 0.9, 1.0)
+    for mu, p_a, seed in itertools.product(rates, rates, (0, 1, 7)):
+        params = QueueParams(p_a=p_a, mu=mu, discipline=discipline, n_slots=n_slots, seed=seed)
+        _assert_bit_identical(params, record_path)
+
+
+@pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
+def test_no_delivery_stats_match_slot_loop(discipline):
+    params = QueueParams(p_a=0.05, mu=0.3, discipline=discipline, n_slots=20, seed=2)
+    stats = _assert_bit_identical(params, record_path=True)
+    assert stats.count == 0
+    assert math.isnan(stats.mean_paoi) and stats.ci_halfwidth == math.inf
+    assert math.isnan(stats.mean_service) and math.isnan(stats.mean_residual)

@@ -5,21 +5,23 @@ import pytest
 
 from aoiharvest.geometry import (
     DiscPpp,
-    cdf_farthest_normalized,
-    cdf_nearest_normalized,
     pdf_farthest,
     pdf_nearest,
-    pdf_farthest_normalized,
-    pdf_nearest_normalized,
     pmf_count,
     sample_batch,
     sample_realization,
-    truncated_mean_count,
 )
 from aoiharvest.model import NetworkConfig
 from aoiharvest.quadrature import integrate_adaptive
 
-from oracles import poisson_pmf_exact
+from oracles import (
+    cdf_farthest_normalized,
+    cdf_nearest_normalized,
+    pdf_farthest_normalized,
+    pdf_nearest_normalized,
+    poisson_pmf_exact,
+    truncated_mean_count,
+)
 
 DEFAULT = DiscPpp.from_config(NetworkConfig())
 

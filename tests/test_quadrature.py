@@ -44,6 +44,15 @@ def test_erlang_lower_input_validation():
         erlang_lower(1, 1.0, -1.0)
 
 
+@pytest.mark.parametrize("k,c,a", [(2, math.nan, 1.0), (2, 1.0, math.nan), (math.nan, 1.0, 1.0),
+                                   (2, np.array([1.0, math.nan]), 1.0)])
+def test_erlang_nan_inputs_rejected(k, c, a):
+    with pytest.raises(ValueError):
+        erlang_lower(k, c, a)
+    with pytest.raises(ValueError):
+        erlang_upper(k, c, a)
+
+
 def test_erlang_upper_basic_values():
     assert erlang_upper(1, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(DivergentIntegralError):
