@@ -110,10 +110,10 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     first, which counts the warm-up draw), and both disciplines deliver in the
     same slots. Each generation is admitted at the first arrival at or after
     the previous delivery; under preemption the delivered packet is the last
-    arrival before its delivery slot. The peak age at each delivery is
-    computed twice, from the aging staircase and from the components
-    (previous residual + idle gap + service span); a mismatch raises, as a
-    structural self-check of the accounting.
+    arrival before its delivery slot. With record_path, the peak age at each
+    delivery is computed twice, from the aging staircase and from the
+    components (previous residual + idle gap + service span); a mismatch
+    raises, as a structural self-check of the accounting.
     """
     rng = np.random.default_rng(params.seed)
     n = params.n_slots
@@ -145,12 +145,12 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
         resets[delivery_slots[delivery_slots < n]] = 1
         aoi_path = (reset_age - np.concatenate(([0], delivery_slots)))[np.cumsum(resets, out=resets)]
         aoi_path += np.arange(1, n + 1)
-        staircase = aoi_path[delivery_slots - 1]
+        if not np.array_equal(peaks, aoi_path[delivery_slots - 1]):
+            raise RuntimeError("AoI accounting mismatch between staircase and components")
     else:
+        # Without a path the staircase at d is reset_age + d - d_prev, which
+        # equals the component sum identically: there is nothing to check.
         aoi_path = np.empty(0, dtype=np.int64)
-        staircase = reset_age[:-1] + delivery_slots - prev_delivery
-    if not np.array_equal(peaks, staircase):
-        raise RuntimeError("AoI accounting mismatch between staircase and components")
 
     trace = QueueTrace(aoi_path=aoi_path, paoi_samples=peaks, delivery_slots=delivery_slots,
                        service_times=service_times, residuals=residuals, interarrivals=interarrivals)

@@ -5,6 +5,7 @@ import pytest
 
 from aoiharvest.geometry import (
     DiscPpp,
+    _truncated_count_table,
     pdf_farthest,
     pdf_nearest,
     pmf_count,
@@ -53,8 +54,15 @@ def test_sampled_distances_sorted_and_in_disc():
 def test_empirical_truncated_mean_within_one_percent():
     counts, _, _, _ = sample_batch(DEFAULT, 100_000, np.random.default_rng(2))
     expected = truncated_mean_count(DEFAULT)
-    assert expected == pytest.approx(33.9292, abs=1e-3)  # truncation shift is negligible here
+    assert expected == pytest.approx(33.9292, abs=1e-3)  # conditioning on K >= 2 barely moves m
     assert counts.mean() == pytest.approx(expected, rel=0.01)
+
+
+def test_count_table_mean_matches_closed_form():
+    ks, cdf = _truncated_count_table(DEFAULT)
+    assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
+    table_mean = float(np.dot(ks, np.diff(cdf, prepend=0.0)))
+    assert table_mean == pytest.approx(truncated_mean_count(DEFAULT), abs=1e-9)
 
 
 def test_sampling_is_seed_reproducible():
