@@ -17,16 +17,9 @@ from .aoi import (
     residual_pmf,
     simulate_queue,
 )
-from .geometry import DiscPpp, pdf_farthest, pdf_nearest, pmf_count, sample_realization
+from .geometry import DiscPpp, pmf_count
 from .jsp import JspEstimate, jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound, select_regime
-from .model import (
-    HarvesterModel,
-    NetworkConfig,
-    NetworkRealization,
-    harvested_energy,
-    sir,
-    sir_threshold,
-)
+from .model import HarvesterModel, NetworkConfig, sir_threshold
 from .optimizer import XiObjective, XiOptimum, evaluate_objective, optimize_xi
 from .quadrature import QuadratureSpec, erlang_lower, erlang_upper, integrate_adaptive, poisson_series
 
@@ -34,14 +27,8 @@ __all__ = [
     "__version__",
     "NetworkConfig",
     "HarvesterModel",
-    "NetworkRealization",
-    "harvested_energy",
-    "sir",
     "sir_threshold",
     "DiscPpp",
-    "sample_realization",
-    "pdf_nearest",
-    "pdf_farthest",
     "pmf_count",
     "QuadratureSpec",
     "erlang_lower",

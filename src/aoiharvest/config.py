@@ -112,11 +112,12 @@ def _parse_lines(text: str, path) -> dict[str, dict[str, tuple[str, int]]]:
         if current is None:
             raise ConfigError("key outside of any [section]", path, lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
         if not key:
             raise ConfigError("empty key", path, lineno)
         if key in sections[current]:
             raise ConfigError("duplicate key", path, lineno, key)
-        sections[current][key.lower()] = (value, lineno)
+        sections[current][key] = (value, lineno)
     return sections
 
 
@@ -138,6 +139,15 @@ def _take_int(entries, key, path, default=None):
         return int(value)
     except ValueError:
         raise ConfigError(f"not an integer: {value!r}", path, lineno, key) from None
+
+
+def _take_count(entries, key, path, default):
+    """A positive integer: a trial or slot count."""
+    lineno = entries[key][1] if key in entries else None
+    value = _take_int(entries, key, path, default)
+    if value < 1:
+        raise ConfigError("must be >= 1", path, lineno, key)
+    return value
 
 
 def _take_str(entries, key, path, default=None):
@@ -213,7 +223,7 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         cfg = NetworkConfig(harvester=harvester, **kwargs)
     except InvalidConfigError as exc:
         # Field names map onto config keys; recover the source line if present.
-        aliases = {"density": "lambda", "sigma_bits": "sigma", "harvester": "model", "kind": "model"}
+        aliases = {"density": "lambda", "sigma_bits": "sigma", "kind": "model"}
         field_name = str(exc).split()[0]
         key = aliases.get(field_name, field_name)
         raise ConfigError(str(exc), path, key_lines.get(key), key) from exc
@@ -222,7 +232,7 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     name = _take_str(exp, "name", path, "jsp-vs-power")
     if name not in EXPERIMENT_NAMES:
         raise ConfigError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}", path, key="name")
-    trials = _take_int(exp, "trials", path, 10_000)
+    trials = _take_count(exp, "trials", path, 10_000)
     seed = _take_int(exp, "seed", path, 1)
     output_dir = Path(_take_str(exp, "output_dir", path, "results"))
     start = _take_float(exp, "sweep_start", path, None)
@@ -240,7 +250,7 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     queue = sections.get("queue", {})
     q_mu = _take_float(queue, "mu", path, None)
     q_pa = _take_float(queue, "p_a", path, None)
-    q_slots = _take_int(queue, "n_slots", path, 1000)
+    q_slots = _take_count(queue, "n_slots", path, 1000)
     q_disc = _take_str(queue, "discipline", path, "non_preemptive")
     _reject_unknown(queue, "queue", path)
     if q_disc not in ("non_preemptive", "preemptive"):

@@ -1,9 +1,10 @@
-"""Disc point process: conditioned sampling and distance statistics.
+"""Disc point process: the count law and the conditioned batch sampler.
 
 Transmitter counts are Poisson with mean lambda*pi*R^2; the analysis always
 conditions on at least two transmitters (one serving link plus interference),
-so the samplers draw the count from the truncated PMF directly rather than
-rejecting whole realizations.
+so the sampler draws the count from the truncated PMF directly rather than
+rejecting whole realizations. The Monte Carlo stage reads every trial from
+one flat batch; the distance densities of the bounds are written in ``jsp``.
 """
 
 from __future__ import annotations
@@ -15,17 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .model import InvalidConfigError, NetworkConfig, NetworkRealization
+from .model import InvalidConfigError, NetworkConfig
 
-__all__ = [
-    "DiscPpp",
-    "sample_realization",
-    "sample_counts",
-    "sample_batch",
-    "pdf_nearest",
-    "pdf_farthest",
-    "pmf_count",
-]
+__all__ = ["DiscPpp", "sample_batch", "pmf_count"]
 
 
 @dataclass(frozen=True)
@@ -67,30 +60,18 @@ def _truncated_count_table(ppp: DiscPpp) -> tuple[np.ndarray, np.ndarray]:
     return ks, cdf
 
 
-def _as_rng(rng_seed_or_stream) -> np.random.Generator:
-    if isinstance(rng_seed_or_stream, np.random.Generator):
-        return rng_seed_or_stream
-    return np.random.default_rng(rng_seed_or_stream)
-
-
-def sample_counts(ppp: DiscPpp, n: int, rng_seed_or_stream) -> np.ndarray:
-    """Draw n transmitter counts from the PMF conditioned on K >= 2."""
-    rng = _as_rng(rng_seed_or_stream)
-    ks, cdf = _truncated_count_table(ppp)
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    return ks[np.minimum(idx, len(ks) - 1)]
-
-
-def sample_batch(ppp: DiscPpp, trials: int, rng_seed_or_stream):
+def sample_batch(ppp: DiscPpp, trials: int, rng: np.random.Generator):
     """Flat per-trial arrays for vectorised reductions.
 
     Returns (counts, starts, distances, gains) where trial i occupies the
-    slice [starts[i], starts[i] + counts[i]) of the flat arrays, distances are
-    sorted ascending within each trial (index starts[i] is the serving link),
-    and gains are unit-mean exponential draws.
+    slice [starts[i], starts[i] + counts[i]) of the flat arrays, counts are
+    drawn from the PMF conditioned on K >= 2, distances are sorted ascending
+    within each trial (index starts[i] is the serving link), and gains are
+    unit-mean exponential draws.
     """
-    rng = _as_rng(rng_seed_or_stream)
-    counts = sample_counts(ppp, trials, rng)
+    ks, cdf = _truncated_count_table(ppp)
+    idx = np.searchsorted(cdf, rng.random(trials), side="right")
+    counts = ks[np.minimum(idx, len(ks) - 1)]
     total = int(counts.sum())
     # Uniform placement in the disc: radius R*sqrt(U); only distances matter.
     d = ppp.radius * np.sqrt(rng.random(total))
@@ -100,37 +81,6 @@ def sample_batch(ppp: DiscPpp, trials: int, rng_seed_or_stream):
     g = rng.standard_exponential(total)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     return counts, starts, d, g
-
-
-def sample_realization(ppp: DiscPpp, rng_seed_or_stream) -> NetworkRealization:
-    """One conditioned draw: sorted distances plus matching fading gains."""
-    _, _, d, g = sample_batch(ppp, 1, rng_seed_or_stream)
-    return NetworkRealization(distances=d, gains=g)
-
-
-def _check_domain(r: np.ndarray, ppp: DiscPpp) -> np.ndarray:
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(r > ppp.radius):
-        raise ValueError(f"distance outside [0, {ppp.radius}]")
-    return r
-
-
-def pdf_nearest(r, ppp: DiscPpp):
-    """Serving-distance density 2*lam*pi*r*e^{-lam*pi*r^2} / P[K>=2] on [0, R].
-
-    This is the form the bound integrals use verbatim; its mass on [0, R] is
-    (1 - e^{-m}) / P[K >= 2], slightly above one.
-    """
-    r = _check_domain(r, ppp)
-    lam_pi = ppp.density * math.pi
-    return 2.0 * lam_pi * r * np.exp(-lam_pi * r**2) / ppp.prob_at_least_two
-
-
-def pdf_farthest(r, ppp: DiscPpp):
-    """Farthest-distance density 2*lam*pi*r*e^{-lam*pi*(R^2-r^2)} / P[K>=2] on [0, R]."""
-    r = _check_domain(r, ppp)
-    lam_pi = ppp.density * math.pi
-    return 2.0 * lam_pi * r * np.exp(-lam_pi * (ppp.radius**2 - r**2)) / ppp.prob_at_least_two
 
 
 def pmf_count(k, ppp: DiscPpp):

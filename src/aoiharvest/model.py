@@ -1,9 +1,12 @@
-"""Per-slot physics of the harvesting IoT downlink.
+"""Scalar configuration of the harvesting IoT downlink.
 
 One slot of duration tau is split by the partitioning factor xi: the first
 xi*tau harvests RF energy from every transmitter, the remaining (1-xi)*tau
-carries the payload from the nearest transmitter. Everything here is a pure
-function of one sampled realization plus the scalar configuration.
+carries the payload from the nearest transmitter. This module holds the
+validated parameters, the decoding threshold they imply and the dB
+conversion. The per-slot event itself (harvested energy and SIR both over
+threshold) is written once, vectorised over Monte Carlo trials, in
+``jsp._count_events``.
 
 All internal quantities are SI (W, J, s, m); dB appears only at the CLI
 boundary.
@@ -14,15 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 class InvalidConfigError(ValueError):
     """A parameter is outside the model's validity range."""
-
-
-class NoInterfererError(ValueError):
-    """SIR requested on a realization without interferers (conceptually infinite)."""
 
 
 @dataclass(frozen=True)
@@ -41,9 +38,9 @@ class HarvesterModel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "nonlinear"):
-            raise InvalidConfigError(f"harvester kind must be 'linear' or 'nonlinear', got {self.kind!r}")
+            raise InvalidConfigError(f"kind must be 'linear' or 'nonlinear', got {self.kind!r}")
         if self.kind == "nonlinear" and not 0.0 <= self.pr_min < self.pr_max:
-            raise InvalidConfigError(f"need 0 <= pr_min < pr_max, got ({self.pr_min}, {self.pr_max})")
+            raise InvalidConfigError(f"pr_min must be in [0, pr_max = {self.pr_max}), got {self.pr_min}")
 
 
 @dataclass(frozen=True)
@@ -82,73 +79,6 @@ class NetworkConfig:
                 raise InvalidConfigError(msg)
 
 
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled draw of the disc process.
-
-    ``distances`` are sorted ascending so index 0 is the serving (nearest)
-    transmitter; ``gains`` are the matching unit-mean exponential fading draws.
-    """
-
-    distances: np.ndarray
-    gains: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.distances, dtype=float)
-        g = np.asarray(self.gains, dtype=float)
-        object.__setattr__(self, "distances", d)
-        object.__setattr__(self, "gains", g)
-        if d.ndim != 1 or g.shape != d.shape or d.size < 1:
-            raise InvalidConfigError("distances and gains must be 1-D arrays of equal positive length")
-        if not (np.all(d > 0) and np.all(np.diff(d) >= 0)):
-            raise InvalidConfigError("distances must be positive and sorted ascending")
-        if not np.all(g > 0):
-            raise InvalidConfigError("gains must be strictly positive")
-
-    @property
-    def count(self) -> int:
-        """Number of transmitters (serving link included)."""
-        return int(self.distances.size)
-
-
-def received_power(realization: NetworkRealization, cfg: NetworkConfig) -> float:
-    """Total received power P_t * sum_k g_k d_k^-alpha over every transmitter (W)."""
-    w = realization.distances ** -cfg.alpha
-    return cfg.p_t * float(np.dot(realization.gains, w))
-
-
-def harvested_energy(realization: NetworkRealization, cfg: NetworkConfig) -> float:
-    """Energy captured during the harvesting phase of one slot (J).
-
-    Linear circuit: eta * xi * tau * Pr. Nonlinear circuit: 0 below the
-    activation threshold, the linear value inside the operating band, and
-    eta * xi * tau * pr_max once saturated.
-    """
-    pr = received_power(realization, cfg)
-    linear = cfg.eta * cfg.xi * cfg.tau * pr
-    h = cfg.harvester
-    if h.kind == "linear":
-        return linear
-    if pr < h.pr_min:
-        return 0.0
-    if pr > h.pr_max:
-        return cfg.eta * cfg.xi * cfg.tau * h.pr_max
-    return linear
-
-
-def sir(realization: NetworkRealization, cfg: NetworkConfig) -> float:
-    """Signal-to-interference ratio at the typical device (dimensionless).
-
-    The transmit power appears in both numerator and denominator and cancels.
-    """
-    if realization.count < 2:
-        raise NoInterfererError("SIR needs at least one interferer")
-    w = realization.distances ** -cfg.alpha
-    signal = realization.gains[0] * w[0]
-    interference = float(np.dot(realization.gains[1:], w[1:]))
-    return float(signal / interference)
-
-
 def sir_threshold(cfg: NetworkConfig) -> float:
     """Decoding threshold beta = 2**(r/B) - 1 with rate r = sigma/((1-xi)*tau).
 
@@ -164,18 +94,6 @@ def sir_threshold(cfg: NetworkConfig) -> float:
     return 2.0 ** exponent - 1.0
 
 
-def energy_activation_power(cfg: NetworkConfig) -> float:
-    """Received power at which the linear harvest exactly meets e_th (W)."""
-    if cfg.xi == 0:
-        return math.inf
-    return cfg.e_th / (cfg.eta * cfg.xi * cfg.tau)
-
-
 def db_to_watt(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
-
-def watt_to_db(watt: float) -> float:
-    if watt <= 0:
-        raise InvalidConfigError("power must be > 0 to express in dB")
-    return 10.0 * math.log10(watt)

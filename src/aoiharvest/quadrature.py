@@ -122,23 +122,20 @@ def _erlang_args(k, c, a) -> list[np.ndarray]:
     return [k_in, c_in, a_in]
 
 
-def erlang_lower(k, c, a, spec: QuadratureSpec | None = None):
+def erlang_lower(k, c, a):
     """int_0^a z^{k-1}/(k-1)! * e^{-c z} dz, elementwise over broadcast inputs.
 
     c > 0 uses the regularized lower incomplete gamma, c = 0 the polynomial
-    a^k/k!, c < 0 adaptive quadrature of the (finite, bounded) integrand.
+    a^k/k!. Every caller integrates a decaying or flat integrand, so a
+    negative rate raises.
     """
     k_in, c_in, a_in = _erlang_args(k, c, a)
+    if np.any(c_in < 0):
+        raise ValueError("rate c must be >= 0")
     if np.any(a_in < 0):
         raise ValueError("upper limit a must be >= 0")
 
     out = np.empty(k_in.shape, dtype=float)
-
-    neg = c_in < 0
-    if np.any(neg):
-        for idx in np.argwhere(neg):
-            i = tuple(idx)
-            out[i] = _erlang_lower_negative(float(k_in[i]), float(c_in[i]), float(a_in[i]), spec)
 
     zero = c_in == 0
     if np.any(zero):
@@ -162,23 +159,6 @@ def erlang_lower(k, c, a, spec: QuadratureSpec | None = None):
         out[pos] = np.where(x == 0, 0.0, np.exp(logv))
 
     return float(out) if out.ndim == 0 else out
-
-
-def _erlang_lower_negative(k: float, c: float, a: float, spec: QuadratureSpec | None) -> float:
-    if a == 0:
-        return 0.0
-    # Integrand peaks at z = a for c < 0; refuse values past double range.
-    log_peak = (k - 1.0) * math.log(a) - c * a - gammaln(k)
-    if log_peak > 700.0:
-        raise OverflowError("erlang_lower with c < 0 exceeds double range")
-
-    def f(z):
-        with np.errstate(divide="ignore"):
-            logz = np.where(z > 0, np.log(np.maximum(z, 1e-300)), -np.inf)
-        return np.exp((k - 1.0) * logz - c * z - gammaln(k))
-
-    res = integrate_adaptive(f, 0.0, a, spec)
-    return res.value
 
 
 def erlang_upper(k, c, a):

@@ -9,8 +9,9 @@ integrals and Poisson PMF term by term: it checks the closed-form sums over
 the transmitter count, not those reference forms. ``simulate_queue_loop``
 draws exactly what ``aoi.simulate_queue`` draws and walks the slot recursion
 one slot at a time, so the vectorised simulator must match it bit for bit.
-The normalized distance laws and the truncated count mean are references for
-the samplers' distribution fits.
+The serving and farthest distance densities (in the form the bound integrals
+use), their normalized laws and the truncated count mean are references for
+the sampler's distribution fits.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
-from aoiharvest.geometry import DiscPpp, pdf_farthest, pdf_nearest, pmf_count
+from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
 from aoiharvest.quadrature import erlang_lower, erlang_upper
 
@@ -105,6 +106,31 @@ def placement_bound_mc(cfg: NetworkConfig, kind: str, trials: int, seed: int) ->
             hits += 1
     p = hits / trials
     return p, 1.96 * math.sqrt(max(p * (1 - p), 1e-12) / trials)
+
+
+def _check_domain(r, ppp: DiscPpp) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0) or np.any(r > ppp.radius):
+        raise ValueError(f"distance outside [0, {ppp.radius}]")
+    return r
+
+
+def pdf_nearest(r, ppp: DiscPpp):
+    """Serving-distance density 2*lam*pi*r*e^{-lam*pi*r^2} / P[K>=2] on [0, R].
+
+    This is the form the bound integrals use verbatim; its mass on [0, R] is
+    (1 - e^{-m}) / P[K >= 2], slightly above one.
+    """
+    r = _check_domain(r, ppp)
+    lam_pi = ppp.density * math.pi
+    return 2.0 * lam_pi * r * np.exp(-lam_pi * r**2) / ppp.prob_at_least_two
+
+
+def pdf_farthest(r, ppp: DiscPpp):
+    """Farthest-distance density 2*lam*pi*r*e^{-lam*pi*(R^2-r^2)} / P[K>=2] on [0, R]."""
+    r = _check_domain(r, ppp)
+    lam_pi = ppp.density * math.pi
+    return 2.0 * lam_pi * r * np.exp(-lam_pi * (ppp.radius**2 - r**2)) / ppp.prob_at_least_two
 
 
 def _single_axis_mass(ppp: DiscPpp) -> float:

@@ -62,6 +62,30 @@ def test_unknown_experiment_name_rejected(tmp_path):
 def test_duplicate_key_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[network]\nxi = 0.4\nxi = 0.5\n"))
+    # keys are case-insensitive, so a second spelling is the same key
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, "[network]\nradius = 60\nRadius = 80\n"))
+    assert "key 'radius'" in str(err.value)
+    assert ":3" in str(err.value)
+
+
+def test_harvester_thresholds_name_key_and_line(tmp_path):
+    path = write(tmp_path, "[harvester]\nmodel = nonlinear\npr_min = 2\npr_max = 1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:3: key 'pr_min'" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        parse_config(write(tmp_path, "[harvester]\nmodel = cubic\n"))
+    assert ":2: key 'model'" in str(err.value)
+
+
+@pytest.mark.parametrize("section,key", [("experiment", "trials"), ("queue", "n_slots")])
+@pytest.mark.parametrize("value", [0, -3])
+def test_counts_below_one_rejected_with_line(tmp_path, section, key, value):
+    path = write(tmp_path, f"[{section}]\n# a comment\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:3: key '{key}': must be >= 1" in str(err.value)
 
 
 def test_malformed_line_rejected(tmp_path):

@@ -3,22 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from aoiharvest.geometry import (
-    DiscPpp,
-    _truncated_count_table,
-    pdf_farthest,
-    pdf_nearest,
-    pmf_count,
-    sample_batch,
-    sample_realization,
-)
+from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count, sample_batch
 from aoiharvest.model import NetworkConfig
 from aoiharvest.quadrature import integrate_adaptive
 
 from oracles import (
     cdf_farthest_normalized,
     cdf_nearest_normalized,
+    pdf_farthest,
     pdf_farthest_normalized,
+    pdf_nearest,
     pdf_nearest_normalized,
     poisson_pmf_exact,
     truncated_mean_count,
@@ -35,20 +29,20 @@ def test_mean_count_identity():
 
 def test_sampling_always_at_least_two():
     sparse = DiscPpp(density=0.5 / (math.pi * 1.0**2), radius=1.0)  # mean count 0.5
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        re = sample_realization(sparse, rng)
-        assert re.count >= 2
+    counts, starts, d, g = sample_batch(sparse, 2000, np.random.default_rng(0))
+    assert counts.min() >= 2
+    assert d.size == g.size == counts.sum()
+    assert np.array_equal(starts, np.cumsum(counts) - counts)
 
 
 def test_sampled_distances_sorted_and_in_disc():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        re = sample_realization(DEFAULT, rng)
-        d = re.distances
-        assert np.all(np.diff(d) >= 0)
-        assert d[0] == d.min() and d[-1] == d.max()
-        assert np.all((0 < d) & (d <= DEFAULT.radius))
+    counts, starts, d, _ = sample_batch(DEFAULT, 500, np.random.default_rng(1))
+    assert np.all((0 < d) & (d <= DEFAULT.radius))
+    # ascending within each trial, so index starts[i] is the serving link
+    rises = np.diff(d) >= 0
+    rises[starts[1:] - 1] = True  # a trial boundary may fall
+    assert np.all(rises)
+    assert np.array_equal(d[starts], np.minimum.reduceat(d, starts))
 
 
 def test_empirical_truncated_mean_within_one_percent():
@@ -66,10 +60,11 @@ def test_count_table_mean_matches_closed_form():
 
 
 def test_sampling_is_seed_reproducible():
-    a = sample_realization(DEFAULT, 1234)
-    b = sample_realization(DEFAULT, 1234)
-    assert np.array_equal(a.distances, b.distances)
-    assert np.array_equal(a.gains, b.gains)
+    a = sample_batch(DEFAULT, 64, np.random.default_rng(1234))
+    b = sample_batch(DEFAULT, 64, np.random.default_rng(1234))
+    c = sample_batch(DEFAULT, 64, np.random.default_rng(1235))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not np.array_equal(a[2], c[2])
 
 
 def test_pdf_values_and_domain():

@@ -80,10 +80,12 @@ def test_erlang_against_quadrature():
 
 
 def test_erlang_lower_negative_rate():
-    # int_0^1 e^{+z} dz = e - 1
-    assert erlang_lower(1, -1.0, 1.0) == pytest.approx(math.e - 1.0, rel=1e-8)
-    with pytest.raises(OverflowError):
-        erlang_lower(1, -1.0, 1e4)
+    # only decaying or flat integrands are integrated; a growing one is rejected
+    with pytest.raises(ValueError, match="rate c must be >= 0"):
+        erlang_lower(1, -1.0, 1.0)
+    with pytest.raises(ValueError, match="rate c must be >= 0"):
+        erlang_lower(2, np.array([1.0, -1e-300]), 1.0)
+    assert erlang_lower(2, -0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_integrate_adaptive_known_integrals():
