@@ -121,39 +121,24 @@ def _parse_lines(text: str, path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-def _take_float(entries, key, path, default=None):
+_PARSE_ERRORS = {float: "not a number", int: "not an integer"}
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")  # a trial or slot count
+_PROBABILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+
+
+def _take(entries, key, path, default=None, parse=str, check=None):
+    """Pop and parse ``key``, or return ``default`` when it is absent. ``check``
+    is (ok, message): a value with ``not ok(value)`` is rejected with its line,
+    and ``message`` may format the value with ``{!r}``."""
     if key not in entries:
         return default
-    value, lineno = entries.pop(key)
+    text, lineno = entries.pop(key)
     try:
-        return float(value)
+        value = parse(text)
     except ValueError:
-        raise ConfigError(f"not a number: {value!r}", path, lineno, key) from None
-
-
-def _take_int(entries, key, path, default=None):
-    if key not in entries:
-        return default
-    value, lineno = entries.pop(key)
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"not an integer: {value!r}", path, lineno, key) from None
-
-
-def _take_count(entries, key, path, default):
-    """A positive integer: a trial or slot count."""
-    lineno = entries[key][1] if key in entries else None
-    value = _take_int(entries, key, path, default)
-    if value < 1:
-        raise ConfigError("must be >= 1", path, lineno, key)
-    return value
-
-
-def _take_str(entries, key, path, default=None):
-    if key not in entries:
-        return default
-    value, _ = entries.pop(key)
+        raise ConfigError(f"{_PARSE_ERRORS[parse]}: {text!r}", path, lineno, key) from None
+    if check is not None and not check[0](value):
+        raise ConfigError(check[1].format(value), path, lineno, key)
     return value
 
 
@@ -199,24 +184,24 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     key_lines = {k: ln for k, (_, ln) in list(net.items()) + list(harv_section.items())}
     defaults = NetworkConfig()
     kwargs = dict(
-        density=_take_float(net, "lambda", path, defaults.density),
-        radius=_take_float(net, "radius", path, defaults.radius),
-        alpha=_take_float(net, "alpha", path, defaults.alpha),
+        density=_take(net, "lambda", path, defaults.density, float),
+        radius=_take(net, "radius", path, defaults.radius, float),
+        alpha=_take(net, "alpha", path, defaults.alpha, float),
         p_t=_take_power(net, "p_t", path, defaults.p_t),
-        eta=_take_float(net, "eta", path, defaults.eta),
-        xi=_take_float(net, "xi", path, defaults.xi),
-        tau=_take_float(net, "tau", path, defaults.tau),
-        sigma_bits=_take_float(net, "sigma", path, defaults.sigma_bits),
-        bandwidth=_take_float(net, "bandwidth", path, defaults.bandwidth),
-        e_th=_take_float(net, "e_th", path, defaults.e_th),
-        p_a=_take_float(net, "p_a", path, defaults.p_a),
+        eta=_take(net, "eta", path, defaults.eta, float),
+        xi=_take(net, "xi", path, defaults.xi, float),
+        tau=_take(net, "tau", path, defaults.tau, float),
+        sigma_bits=_take(net, "sigma", path, defaults.sigma_bits, float),
+        bandwidth=_take(net, "bandwidth", path, defaults.bandwidth, float),
+        e_th=_take(net, "e_th", path, defaults.e_th, float),
+        p_a=_take(net, "p_a", path, defaults.p_a, float),
     )
     _reject_unknown(net, "network", path)
 
     harv = sections.get("harvester", {})
-    model_kind = _take_str(harv, "model", path, "linear").lower()
-    pr_min = _take_float(harv, "pr_min", path, HarvesterModel.pr_min)
-    pr_max = _take_float(harv, "pr_max", path, HarvesterModel.pr_max)
+    model_kind = _take(harv, "model", path, "linear").lower()
+    pr_min = _take(harv, "pr_min", path, HarvesterModel.pr_min, float)
+    pr_max = _take(harv, "pr_max", path, HarvesterModel.pr_max, float)
     _reject_unknown(harv, "harvester", path)
     try:
         harvester = HarvesterModel(kind=model_kind, pr_min=pr_min, pr_max=pr_max)
@@ -229,16 +214,15 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         raise ConfigError(str(exc), path, key_lines.get(key), key) from exc
 
     exp = sections.get("experiment", {})
-    name = _take_str(exp, "name", path, "jsp-vs-power")
-    if name not in EXPERIMENT_NAMES:
-        raise ConfigError(f"unknown experiment {name!r}; valid: {', '.join(EXPERIMENT_NAMES)}", path, key="name")
-    trials = _take_count(exp, "trials", path, 10_000)
-    seed = _take_int(exp, "seed", path, 1)
-    output_dir = Path(_take_str(exp, "output_dir", path, "results"))
-    start = _take_float(exp, "sweep_start", path, None)
-    stop = _take_float(exp, "sweep_stop", path, None)
-    step = _take_float(exp, "sweep_step", path, None)
-    unit = _take_str(exp, "sweep_unit", path, None)
+    name = _take(exp, "name", path, "jsp-vs-power", check=(
+        EXPERIMENT_NAMES.__contains__, f"unknown experiment {{!r}}; valid: {', '.join(EXPERIMENT_NAMES)}"))
+    trials = _take(exp, "trials", path, 10_000, int, _AT_LEAST_ONE)
+    seed = _take(exp, "seed", path, 1, int, (lambda v: v >= 0, "must be >= 0"))
+    output_dir = Path(_take(exp, "output_dir", path, "results"))
+    start = _take(exp, "sweep_start", path, None, float)
+    stop = _take(exp, "sweep_stop", path, None, float)
+    step = _take(exp, "sweep_step", path, None, float)
+    unit = _take(exp, "sweep_unit", path)
     _reject_unknown(exp, "experiment", path)
     sweep = None
     if any(v is not None for v in (start, stop, step)):
@@ -248,13 +232,12 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         sweep = SweepAxis(start, stop, step, unit if unit is not None else (default[3] if default else ""))
 
     queue = sections.get("queue", {})
-    q_mu = _take_float(queue, "mu", path, None)
-    q_pa = _take_float(queue, "p_a", path, None)
-    q_slots = _take_count(queue, "n_slots", path, 1000)
-    q_disc = _take_str(queue, "discipline", path, "non_preemptive")
+    q_mu = _take(queue, "mu", path, None, float, _PROBABILITY)
+    q_pa = _take(queue, "p_a", path, None, float, _PROBABILITY)
+    q_slots = _take(queue, "n_slots", path, 1000, int, _AT_LEAST_ONE)
+    q_disc = _take(queue, "discipline", path, "non_preemptive", check=(
+        ("non_preemptive", "preemptive").__contains__, "must be non_preemptive or preemptive, got {!r}"))
     _reject_unknown(queue, "queue", path)
-    if q_disc not in ("non_preemptive", "preemptive"):
-        raise ConfigError(f"discipline must be non_preemptive or preemptive, got {q_disc!r}", path, key="discipline")
 
     spec = ExperimentSpec(
         name=name, trials=trials, seed=seed, output_dir=output_dir, sweep=sweep,

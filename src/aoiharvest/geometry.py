@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, pdtr, pdtrik
 
 from .model import InvalidConfigError, NetworkConfig
 
@@ -48,11 +48,17 @@ class DiscPpp:
         return -math.expm1(-m) - m * math.exp(-m)
 
 
+def _poisson_quantile(q: float, m: float) -> int:
+    """Smallest k with P[Poisson(m) <= k] >= q, as SciPy's ``poisson.ppf`` computes it."""
+    k = math.ceil(pdtrik(q, m))
+    return k - 1 if k > 0 and pdtr(k - 1, m) >= q else k
+
+
 @functools.lru_cache(maxsize=64)
 def _truncated_count_table(ppp: DiscPpp) -> tuple[np.ndarray, np.ndarray]:
     """(k values, normalized CDF) of the count conditioned on K >= 2."""
     m = ppp.mean_count
-    k_hi = int(stats.poisson.ppf(1.0 - 1e-12, m)) + 10
+    k_hi = _poisson_quantile(1.0 - 1e-12, m) + 10
     ks = np.arange(2, k_hi + 1)
     pmf = pmf_count(ks, ppp)
     cdf = np.cumsum(pmf)
@@ -88,8 +94,6 @@ def pmf_count(k, ppp: DiscPpp):
     k = np.asarray(k)
     if np.any(k < 0) or not np.issubdtype(k.dtype, np.integer):
         raise ValueError("count must be a nonnegative integer")
-    from scipy.special import gammaln
-
     m = ppp.mean_count
     with np.errstate(divide="ignore"):
         logp = np.where(k > 0, k * math.log(m), 0.0) - m - gammaln(k + 1.0)

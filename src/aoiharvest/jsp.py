@@ -24,8 +24,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 from scipy.special import chndtr, ive
+# Private name: the Boost ufunc that stats.ncx2.sf calls for nc != 0, without
+# importing scipy.stats (verified bit for bit against SciPy 1.17.1).
+from scipy.special._ufuncs import _ncx2_sf
 
 from . import geometry
 from .geometry import DiscPpp
@@ -191,7 +193,7 @@ def _upper_gamma_sum(mu, c, z, log_k):
     x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
     sf = 1.0 - chndtr(x, 2.0, nc)
     direct = sf < 0.5
-    sf[direct] = stats.ncx2.sf(x[direct], 2.0, nc[direct])
+    sf[direct] = _ncx2_sf(x[direct], 2.0, nc[direct])
     return np.exp(log_k + a) / c * sf
 
 

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import gammainc, gammaincc, gammaln
+from scipy.special import gammainc, gammaincc, gammaln, pdtr, pdtrc
 
-from .geometry import DiscPpp
+from .geometry import DiscPpp, _poisson_quantile
 
 __all__ = [
     "QuadratureSpec",
@@ -288,10 +287,10 @@ def poisson_series(term, ppp: DiscPpp, series_mass: float | None = None,
     if series_mass is None:
         series_mass = (spec or QuadratureSpec()).series_mass
     m = ppp.mean_count
-    k_max = max(2, int(stats.poisson.ppf(series_mass, m)))
-    while stats.poisson.cdf(k_max, m) < series_mass:
+    k_max = max(2, _poisson_quantile(series_mass, m))
+    while pdtr(k_max, m) < series_mass:
         k_max += 1
     ks = np.arange(2, k_max + 1)
     value = float(np.sum(term(ks)))
-    truncated = float(stats.poisson.sf(k_max, m))
+    truncated = float(pdtrc(k_max, m))
     return SeriesResult(value=value, truncated_mass=truncated, k_min=2, k_max=k_max)

@@ -38,6 +38,16 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "xi" in capsys.readouterr().err
 
 
+def test_validate_rejects_out_of_range_run_settings(tmp_path, capsys):
+    for key, text in [("seed", "[experiment]\nseed = -1\n"), ("mu", "[queue]\nmu = 1.5\n"),
+                      ("p_a", "[queue]\np_a = 0\n")]:
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert "config ok" not in out
+        assert f"{cfg}:2: key '{key}'" in err
+
+
 def test_unknown_experiment_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "")
     assert main(["run", cfg, "--experiment", "jsp-vs-nothing"]) == 2

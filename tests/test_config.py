@@ -88,6 +88,28 @@ def test_counts_below_one_rejected_with_line(tmp_path, section, key, value):
     assert f"{path}:3: key '{key}': must be >= 1" in str(err.value)
 
 
+@pytest.mark.parametrize("section,key,value,message", [
+    ("experiment", "seed", "-1", "must be >= 0"),
+    ("queue", "mu", "1.5", "must be in (0, 1]"),
+    ("queue", "mu", "0", "must be in (0, 1]"),
+    ("queue", "mu", "nan", "must be in (0, 1]"),
+    ("queue", "p_a", "-0.2", "must be in (0, 1]"),
+    ("queue", "p_a", "1.01", "must be in (0, 1]"),
+    ("experiment", "name", "jsp-vs-phase", "unknown experiment 'jsp-vs-phase'; valid: jsp-vs-power"),
+    ("queue", "discipline", "lifo", "must be non_preemptive or preemptive, got 'lifo'"),
+])
+def test_out_of_range_run_settings_name_key_and_line(tmp_path, section, key, value, message):
+    path = write(tmp_path, f"[{section}]\n# a comment\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:3: key '{key}': {message}" in str(err.value)
+
+
+def test_run_settings_at_their_limits_accepted(tmp_path):
+    _, spec = parse_config(write(tmp_path, "[experiment]\nseed = 0\n[queue]\nmu = 1\np_a = 1e-9\n"))
+    assert (spec.seed, spec.queue.mu, spec.queue.p_a) == (0, 1.0, 1e-9)
+
+
 def test_malformed_line_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[network]\nxi\n"))

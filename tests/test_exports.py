@@ -1,7 +1,11 @@
 """Every exported name resolves: tools enumerate ``__all__`` to find the layers."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +34,13 @@ def test_package_all_resolves_and_star_import_works():
     namespace = {}
     exec("from aoiharvest import *", namespace)
     assert set(aoiharvest.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module", ["aoiharvest", "aoiharvest.cli"])
+def test_import_leaves_scipy_stats_unloaded(module):
+    """The package needs only scipy.special; importing scipy.stats would add
+    about half a second to every run."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(aoiharvest.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

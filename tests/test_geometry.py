@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import pdtr
 
-from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count, sample_batch
+from aoiharvest.geometry import DiscPpp, _poisson_quantile, _truncated_count_table, pmf_count, sample_batch
 from aoiharvest.model import NetworkConfig
 from aoiharvest.quadrature import integrate_adaptive
 
@@ -57,6 +59,23 @@ def test_count_table_mean_matches_closed_form():
     assert cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0)
     table_mean = float(np.dot(ks, np.diff(cdf, prepend=0.0)))
     assert table_mean == pytest.approx(truncated_mean_count(DEFAULT), abs=1e-9)
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0 - 1e-8, 1.0 - 1e-12])
+def test_poisson_quantile_matches_scipy_stats(q):
+    means = np.logspace(-3, math.log10(5e3), 4001)
+    got = [_poisson_quantile(q, m) for m in means]
+    np.testing.assert_array_equal(got, stats.poisson.ppf(q, means))
+
+
+def test_poisson_quantile_steps_down_at_cdf_values():
+    """At q = P[K <= k] the inverse CDF often rounds above k; the step down returns k."""
+    means = np.logspace(-3, math.log10(5e3), 4001)
+    ks = np.floor(means + 3.0 * np.sqrt(means))
+    qs = pdtr(ks, means)
+    got = [_poisson_quantile(q, m) for q, m in zip(qs, means)]
+    np.testing.assert_array_equal(got, ks)
+    np.testing.assert_array_equal(got, stats.poisson.ppf(qs, means))
 
 
 def test_sampling_is_seed_reproducible():

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import chndtr
 
 from aoiharvest import geometry, jsp
 from aoiharvest.geometry import DiscPpp
@@ -182,6 +184,23 @@ def test_closed_form_integrands_match_count_series(radius, db):
         big = ref > 1e-60
         np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(got[~big], ref[~big], rtol=0.0, atol=1e-15)
+
+
+def test_upper_gamma_sum_matches_scipy_stats():
+    """Where 1 - CDF is below 1/2 the survival function is the private ufunc
+    behind ``stats.ncx2.sf``; it must give the same bits (mu > 0, so nc > 0)."""
+    rng = np.random.default_rng(7)
+    n = 200_000
+    c = 10.0 ** rng.uniform(-2.0, 1.5, n)
+    mu = 10.0 ** rng.uniform(-6.0, 2.8, n) * c  # mu/c below e^709
+    z = 10.0 ** rng.uniform(-6.0, 3.0, n) / c
+    a = mu / c
+    x, nc = 2.0 * c * z, 2.0 * a
+    sf = 1.0 - chndtr(x, 2.0, nc)
+    direct = sf < 0.5
+    sf[direct] = stats.ncx2.sf(x[direct], 2.0, nc[direct])
+    assert np.count_nonzero(direct) > 50_000
+    np.testing.assert_array_equal(jsp._upper_gamma_sum(mu, c, z, 0.0), np.exp(a) / c * sf)
 
 
 COUNT_WINDOW_BOUNDS = {

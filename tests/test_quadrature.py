@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig
@@ -146,3 +147,16 @@ def test_poisson_series_mean_identity():
     expected = m - 1.0 * pmf_count(1, DEFAULT_PPP) - 0.0 * pmf_count(0, DEFAULT_PPP)
     # the k-weighted truncated tail is ~k_max times the dropped mass
     assert res.value == pytest.approx(expected, abs=res.k_max * 1e-8 + 1e-9)
+
+
+@pytest.mark.parametrize("m", [1e-3, 0.7, 33.9, 1131.0, 5e3])
+@pytest.mark.parametrize("mass", [1.0 - 1e-8, 1.0 - 1e-12])
+def test_poisson_series_window_matches_scipy_stats(m, mass):
+    ppp = DiscPpp(density=m / math.pi, radius=1.0)
+    m = ppp.mean_count
+    res = poisson_series(lambda k: np.zeros(k.shape), ppp, series_mass=mass)
+    k_max = max(2, int(stats.poisson.ppf(mass, m)))
+    while stats.poisson.cdf(k_max, m) < mass:
+        k_max += 1
+    assert res.k_max == k_max
+    assert res.truncated_mass == float(stats.poisson.sf(k_max, m))
