@@ -4,7 +4,8 @@
     aoiharvest validate <config>
     aoiharvest list-experiments
 
-Exit codes: 0 success, 1 config/runtime error, 2 unknown experiment name.
+Exit codes: 0 success, 1 config/runtime error, 2 unknown experiment name or a
+malformed command line (including --seed < 0 or --trials < 1).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import EXPERIMENT_NAMES, ConfigError, parse_config
+from .config import _AT_LEAST_ONE, _NON_NEGATIVE, EXPERIMENT_NAMES, ConfigError, parse_config
 from .experiments import UnknownExperimentError, run_experiment
 
 
@@ -25,8 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to the config file")
     run.add_argument("--experiment", help="override the experiment name")
     run.add_argument("--out", help="override the output directory")
-    run.add_argument("--seed", type=int, help="override the seed")
-    run.add_argument("--trials", type=int, help="override the Monte Carlo trial count")
+    run.add_argument("--seed", type=int, help="override the seed (>= 0)")
+    run.add_argument("--trials", type=int, help="override the Monte Carlo trial count (>= 1)")
     run.add_argument("--plot", action="store_true", help="also write an SVG line chart")
 
     val = sub.add_parser("validate", help="parse a config file and report the resolved settings")
@@ -37,7 +38,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for option, (ok, message) in (("seed", _NON_NEGATIVE), ("trials", _AT_LEAST_ONE)):
+        value = getattr(args, option, None)  # the config file's checks; only `run` has these
+        if value is not None and not ok(value):
+            parser.error(f"argument --{option}: {message.format(value)}")
 
     if args.command == "list-experiments":
         for name in EXPERIMENT_NAMES:
@@ -59,10 +65,6 @@ def main(argv=None) -> int:
 
     overrides = {}
     if args.experiment is not None:
-        if args.experiment not in EXPERIMENT_NAMES:
-            print(f"error: unknown experiment {args.experiment!r}; valid names: "
-                  f"{', '.join(EXPERIMENT_NAMES)}", file=sys.stderr)
-            return 2
         overrides["name"] = args.experiment
         if spec.sweep is not None and args.experiment != spec.name:
             overrides["sweep"] = None  # a file sweep axis does not carry across experiments

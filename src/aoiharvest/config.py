@@ -22,28 +22,7 @@ from pathlib import Path
 from .model import HarvesterModel, InvalidConfigError, NetworkConfig, db_to_watt
 
 __all__ = ["ConfigError", "SweepAxis", "QueueSettings", "ExperimentSpec",
-           "parse_config", "EXPERIMENT_NAMES", "DEFAULT_SWEEPS"]
-
-EXPERIMENT_NAMES = (
-    "jsp-vs-power",
-    "jsp-vs-radius",
-    "jsp-vs-xi",
-    "paoi-vs-xi",
-    "xistar-vs-power",
-    "xistar-vs-radius",
-    "queue-path",
-)
-
-# (start, stop, step, unit) per experiment axis.
-DEFAULT_SWEEPS = {
-    "jsp-vs-power": (0.0, 20.0, 2.0, "dB"),
-    "jsp-vs-radius": (20.0, 200.0, 20.0, "m"),
-    "jsp-vs-xi": (0.05, 0.95, 0.05, ""),
-    "paoi-vs-xi": (0.05, 0.95, 0.05, ""),
-    "xistar-vs-power": (5.0, 20.0, 5.0, "dB"),
-    "xistar-vs-radius": (50.0, 200.0, 50.0, "m"),
-    "queue-path": None,
-}
+           "parse_config", "EXPERIMENT_NAMES", "SWEEPS"]
 
 
 class ConfigError(ValueError):
@@ -72,6 +51,24 @@ class SweepAxis:
         return [self.start + i * self.step for i in range(n)]
 
 
+# Per experiment: the NetworkConfig field its axis sets and the default axis;
+# queue-path has no axis. The prefix before the first "-" names what each
+# sweep point computes (jsp, paoi or xistar).
+SWEEPS = {
+    "jsp-vs-power": ("p_t", SweepAxis(0.0, 20.0, 2.0, "dB")),
+    "jsp-vs-radius": ("radius", SweepAxis(20.0, 200.0, 20.0, "m")),
+    "jsp-vs-xi": ("xi", SweepAxis(0.05, 0.95, 0.05, "")),
+    "paoi-vs-xi": ("xi", SweepAxis(0.05, 0.95, 0.05, "")),
+    "xistar-vs-power": ("p_t", SweepAxis(5.0, 20.0, 5.0, "dB")),
+    "xistar-vs-radius": ("radius", SweepAxis(50.0, 200.0, 50.0, "m")),
+    "queue-path": None,
+}
+EXPERIMENT_NAMES = tuple(SWEEPS)
+
+# Units a sweep axis may give, per field (matched without regard to case).
+_AXIS_UNITS = {"p_t": ("dB", "W"), "radius": ("m",), "xi": ("",)}
+
+
 @dataclass(frozen=True)
 class QueueSettings:
     mu: float | None = None       # None: derive from the analytic JSP lower bound
@@ -82,7 +79,7 @@ class QueueSettings:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    name: str = "jsp-vs-power"
+    name: str = EXPERIMENT_NAMES[0]
     trials: int = 10_000
     seed: int = 1
     output_dir: Path = Path("results")
@@ -92,8 +89,8 @@ class ExperimentSpec:
     def resolved_sweep(self) -> SweepAxis | None:
         if self.sweep is not None:
             return self.sweep
-        default = DEFAULT_SWEEPS[self.name]
-        return SweepAxis(*default) if default else None
+        sweep = SWEEPS[self.name]
+        return None if sweep is None else sweep[1]
 
 
 def _parse_lines(text: str, path) -> dict[str, dict[str, tuple[str, int]]]:
@@ -123,7 +120,9 @@ def _parse_lines(text: str, path) -> dict[str, dict[str, tuple[str, int]]]:
 
 _PARSE_ERRORS = {float: "not a number", int: "not an integer"}
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")  # a trial or slot count
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _PROBABILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
+_FINITE = (math.isfinite, "must be finite")
 
 
 def _take(entries, key, path, default=None, parse=str, check=None):
@@ -214,22 +213,32 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         raise ConfigError(str(exc), path, key_lines.get(key), key) from exc
 
     exp = sections.get("experiment", {})
-    name = _take(exp, "name", path, "jsp-vs-power", check=(
+    exp_lines = {k: ln for k, (_, ln) in exp.items()}
+    name = _take(exp, "name", path, ExperimentSpec.name, check=(
         EXPERIMENT_NAMES.__contains__, f"unknown experiment {{!r}}; valid: {', '.join(EXPERIMENT_NAMES)}"))
     trials = _take(exp, "trials", path, 10_000, int, _AT_LEAST_ONE)
-    seed = _take(exp, "seed", path, 1, int, (lambda v: v >= 0, "must be >= 0"))
+    seed = _take(exp, "seed", path, 1, int, _NON_NEGATIVE)
     output_dir = Path(_take(exp, "output_dir", path, "results"))
-    start = _take(exp, "sweep_start", path, None, float)
-    stop = _take(exp, "sweep_stop", path, None, float)
-    step = _take(exp, "sweep_step", path, None, float)
+    start = _take(exp, "sweep_start", path, None, float, _FINITE)
+    stop = _take(exp, "sweep_stop", path, None, float, (  # an empty axis is an error too
+        lambda v: math.isfinite(v) and (start is None or v >= start),
+        f"must be finite and >= sweep_start {start!r}"))
+    step = _take(exp, "sweep_step", path, None, float, (lambda v: 0 < v < math.inf, "must be finite and > 0"))
     unit = _take(exp, "sweep_unit", path)
     _reject_unknown(exp, "experiment", path)
     sweep = None
-    if any(v is not None for v in (start, stop, step)):
+    if any(v is not None for v in (start, stop, step, unit)):
         if None in (start, stop, step):
-            raise ConfigError("sweep_start, sweep_stop and sweep_step must be given together", path)
-        default = DEFAULT_SWEEPS[name]
-        sweep = SweepAxis(start, stop, step, unit if unit is not None else (default[3] if default else ""))
+            raise ConfigError("give sweep_start, sweep_stop and sweep_step together "
+                              "(sweep_unit needs them too)", path)
+        if SWEEPS[name] is None:
+            raise ConfigError(f"{name} has no sweep axis", path, exp_lines["sweep_start"])
+        axis_field, default = SWEEPS[name]
+        units = _AXIS_UNITS[axis_field]
+        if unit is not None and unit.lower() not in (u.lower() for u in units):
+            raise ConfigError(f"must be {' or '.join(map(repr, units))} on the {axis_field} axis of "
+                              f"{name}, got {unit!r}", path, exp_lines["sweep_unit"], "sweep_unit")
+        sweep = SweepAxis(start, stop, step, default.unit if unit is None else unit)
 
     queue = sections.get("queue", {})
     q_mu = _take(queue, "mu", path, None, float, _PROBABILITY)

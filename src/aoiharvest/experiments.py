@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .aoi import QueueParams, paoi_np_closed_form, paoi_p_closed_form, simulate_queue
-from .config import EXPERIMENT_NAMES, ExperimentSpec, SweepAxis
-from .jsp import jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound, select_regime
+from .config import EXPERIMENT_NAMES, SWEEPS, ExperimentSpec, SweepAxis
+from .jsp import jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound
 from .model import HarvesterModel, NetworkConfig, db_to_watt
 from .optimizer import XiObjective, optimize_xi
 from .quadrature import QuadratureSpec
@@ -77,13 +77,6 @@ def _thread_cap() -> int | None:
     return cap_n
 
 
-def _worker_count(n_points: int) -> int:
-    cap = _thread_cap()
-    if cap is None:
-        return 1
-    return min(cap, max(1, n_points))
-
-
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -133,76 +126,11 @@ def write_svg(result: SweepResult, path: Path, width: int = 640, height: int = 4
 
 def _map_points(fn, points):
     """Evaluate sweep points, optionally on a thread pool; order preserved."""
-    workers = _worker_count(len(points))
+    workers = min(_thread_cap() or 1, max(1, len(points)))
     if workers == 1:
         return [fn(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, points))
-
-
-def _nl_config(cfg: NetworkConfig) -> NetworkConfig:
-    if cfg.harvester.kind == "nonlinear":
-        return cfg
-    return replace(cfg, harvester=HarvesterModel(kind="nonlinear",
-                                                 pr_min=cfg.harvester.pr_min,
-                                                 pr_max=cfg.harvester.pr_max))
-
-
-def _jsp_point(cfg: NetworkConfig, trials: int, seed: int, spec: QuadratureSpec) -> dict[str, tuple]:
-    lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
-    nl = _nl_config(cfg)
-    out = {
-        "mc": jsp_monte_carlo(lin, trials=trials, seed=seed),
-        "lower": jsp_lower_bound(lin, regime="linear", spec=spec),
-        "upper": jsp_upper_bound(lin, regime="linear", spec=spec),
-    }
-    nl_regime = select_regime(nl)
-    out["mc_nl"] = jsp_monte_carlo(nl, trials=trials, seed=seed)
-    out["lower_nl"] = jsp_lower_bound(nl, regime=nl_regime, spec=spec)
-    out["upper_nl"] = jsp_upper_bound(nl, regime=nl_regime, spec=spec)
-    return {c: (est.value, est.converged) for c, est in out.items()}
-
-
-_JSP_COLUMNS = ("mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl")
-
-
-def _sweep_result(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis, axis_name: str,
-                  rows: list[dict[str, tuple]], columns) -> SweepResult:
-    """Columns from per-point {column: (value, converged)} rows; each value
-    whose quadrature did not converge is named on stderr."""
-    values = axis.values()
-    for x, row in zip(values, rows):
-        for c in columns:
-            if not row[c][1]:
-                print(f"warning: {spec.name}: {axis_name} = {x!r}: {c}: quadrature did not converge",
-                      file=sys.stderr)
-    return SweepResult(spec.name, axis_name, values, {c: [row[c][0] for row in rows] for c in columns},
-                       _metadata(cfg, spec, axis))
-
-
-def _paoi_value(closed_form, mu, p_a: float) -> tuple[float, bool]:
-    return (closed_form(mu.value, p_a) if mu.value > 0.0 else math.inf), mu.converged
-
-
-def _run_jsp_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis, vary) -> SweepResult:
-    qspec = QuadratureSpec()
-
-    def point(x: float) -> dict[str, tuple]:
-        return _jsp_point(vary(cfg, x), spec.trials, spec.seed, qspec)
-
-    rows = _map_points(point, axis.values())
-    return _sweep_result(cfg, spec, axis, _axis_label(spec.name, axis), rows, _JSP_COLUMNS)
-
-
-def _axis_label(name: str, axis: SweepAxis) -> str:
-    base = {"jsp-vs-power": "p_t", "xistar-vs-power": "p_t",
-            "jsp-vs-radius": "radius", "xistar-vs-radius": "radius",
-            "jsp-vs-xi": "xi", "paoi-vs-xi": "xi", "queue-path": "slot"}[name]
-    return f"{base}_db" if axis is not None and axis.unit.lower() == "db" else base
-
-
-def _vary_power(cfg: NetworkConfig, x: float, unit: str) -> NetworkConfig:
-    return replace(cfg, p_t=db_to_watt(x) if unit.lower() == "db" else x)
 
 
 def _metadata(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis | None) -> dict:
@@ -226,20 +154,7 @@ def run_experiment(cfg: NetworkConfig, spec: ExperimentSpec, plot: bool = False)
     _thread_cap()  # fail fast on a malformed worker cap
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    axis = spec.resolved_sweep()
-
-    if spec.name == "jsp-vs-power":
-        result = _run_jsp_sweep(cfg, spec, axis, lambda c, x: _vary_power(c, x, axis.unit))
-    elif spec.name == "jsp-vs-radius":
-        result = _run_jsp_sweep(cfg, spec, axis, lambda c, x: replace(c, radius=x))
-    elif spec.name == "jsp-vs-xi":
-        result = _run_jsp_sweep(cfg, spec, axis, lambda c, x: replace(c, xi=x))
-    elif spec.name == "paoi-vs-xi":
-        result = _run_paoi_sweep(cfg, spec, axis)
-    elif spec.name in ("xistar-vs-power", "xistar-vs-radius"):
-        result = _run_xistar_sweep(cfg, spec, axis)
-    else:
-        result = _run_queue_path(cfg, spec)
+    result = _run_queue_path(cfg, spec) if SWEEPS[spec.name] is None else _run_sweep(cfg, spec)
 
     path = out_dir / f"{spec.name}.csv"
     write_csv(result, path)
@@ -251,47 +166,73 @@ def run_experiment(cfg: NetworkConfig, spec: ExperimentSpec, plot: bool = False)
     return written
 
 
-def _run_paoi_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis) -> SweepResult:
+def _harvester_pair(cfg: NetworkConfig) -> tuple[NetworkConfig, NetworkConfig]:
+    """(linear, nonlinear) variants of ``cfg``; the nonlinear one keeps the
+    circuit thresholds of ``cfg``."""
+    h = cfg.harvester
+    nl = cfg if h.kind == "nonlinear" else replace(
+        cfg, harvester=HarvesterModel(kind="nonlinear", pr_min=h.pr_min, pr_max=h.pr_max))
+    return replace(cfg, harvester=HarvesterModel(kind="linear")), nl
+
+
+# Each point function maps one swept config to {column: (value, converged)}.
+
+def _jsp_point(cfg: NetworkConfig, spec: ExperimentSpec) -> dict[str, tuple]:
+    qspec = QuadratureSpec()
+    out = {}
+    for suffix, c in zip(("", "_nl"), _harvester_pair(cfg)):
+        out["mc" + suffix] = jsp_monte_carlo(c, trials=spec.trials, seed=spec.seed)
+        out["lower" + suffix] = jsp_lower_bound(c, spec=qspec)
+        out["upper" + suffix] = jsp_upper_bound(c, spec=qspec)
+    return {c: (est.value, est.converged) for c, est in out.items()}
+
+
+def _paoi_point(cfg: NetworkConfig, spec: ExperimentSpec) -> dict[str, tuple]:
     qspec = QuadratureSpec()
     p_a = spec.queue.p_a if spec.queue.p_a is not None else cfg.p_a
-    lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
-    nl = _nl_config(cfg)
-
-    def point(x: float) -> dict[str, tuple]:
-        mu_lin = jsp_lower_bound(replace(lin, xi=x), regime="linear", spec=qspec)
-        nl_x = replace(nl, xi=x)
-        mu_nl = jsp_lower_bound(nl_x, regime=select_regime(nl_x), spec=qspec)
-        return {
-            "np_upper": _paoi_value(paoi_np_closed_form, mu_lin, p_a),
-            "p_upper": _paoi_value(paoi_p_closed_form, mu_lin, p_a),
-            "np_upper_nl": _paoi_value(paoi_np_closed_form, mu_nl, p_a),
-            "p_upper_nl": _paoi_value(paoi_p_closed_form, mu_nl, p_a),
-        }
-
-    rows = _map_points(point, axis.values())
-    return _sweep_result(cfg, spec, axis, "xi", rows, ("np_upper", "p_upper", "np_upper_nl", "p_upper_nl"))
+    out = {}
+    for suffix, c in zip(("", "_nl"), _harvester_pair(cfg)):
+        mu = jsp_lower_bound(c, spec=qspec)
+        for column, closed_form in (("np_upper", paoi_np_closed_form), ("p_upper", paoi_p_closed_form)):
+            out[column + suffix] = (closed_form(mu.value, p_a) if mu.value > 0.0 else math.inf,
+                                    mu.converged)
+    return out
 
 
-def _run_xistar_sweep(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis) -> SweepResult:
+def _xistar_point(cfg: NetworkConfig, spec: ExperimentSpec) -> dict[str, tuple]:
     qspec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
-    lin = replace(cfg, harvester=HarvesterModel(kind="linear"))
+    lin, _ = _harvester_pair(cfg)
+    out = {}
+    for column, kind in (("xi_star_jsp_lower", "max_jsp_lower"),
+                         ("xi_star_paoi_np", "min_paoi_np_upper"),
+                         ("xi_star_paoi_p", "min_paoi_p_upper")):
+        opt = optimize_xi(XiObjective(kind=kind, cfg=lin, spec=qspec), grid_step=0.05)
+        out[column] = (opt.xi_star, opt.converged)
+    return out
 
-    def point(x: float) -> dict[str, tuple]:
-        if spec.name == "xistar-vs-power":
-            base = _vary_power(lin, x, axis.unit)
-        else:
-            base = replace(lin, radius=x)
-        out = {}
-        for column, kind in (("xi_star_jsp_lower", "max_jsp_lower"),
-                             ("xi_star_paoi_np", "min_paoi_np_upper"),
-                             ("xi_star_paoi_p", "min_paoi_p_upper")):
-            opt = optimize_xi(XiObjective(kind=kind, cfg=base, spec=qspec), grid_step=0.05)
-            out[column] = (opt.xi_star, opt.converged)
-        return out
 
-    rows = _map_points(point, axis.values())
-    return _sweep_result(cfg, spec, axis, _axis_label(spec.name, axis), rows,
-                         ("xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"))
+_POINTS = {"jsp": _jsp_point, "paoi": _paoi_point, "xistar": _xistar_point}
+
+
+def _run_sweep(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
+    """Set the experiment's axis field to each axis value (dB axes of p_t in
+    watts) and evaluate its point function there; each value whose quadrature
+    did not converge is named on stderr."""
+    field, axis = SWEEPS[spec.name][0], spec.resolved_sweep()
+    point = _POINTS[spec.name.split("-", 1)[0]]
+    db = axis.unit.lower() == "db"
+    label = f"{field}_db" if db else field
+    to_field = db_to_watt if db and field == "p_t" else float
+
+    values = axis.values()
+    rows = _map_points(lambda x: point(replace(cfg, **{field: to_field(x)}), spec), values)
+    for x, row in zip(values, rows):
+        for c, (_, ok) in row.items():
+            if not ok:
+                print(f"warning: {spec.name}: {label} = {x!r}: {c}: quadrature did not converge",
+                      file=sys.stderr)
+    return SweepResult(spec.name, label, values, {c: [row[c][0] for row in rows] for c in rows[0]},
+                       _metadata(cfg, spec, axis))
 
 
 def _run_queue_path(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
@@ -304,6 +245,6 @@ def _run_queue_path(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
     p_a = q.p_a if q.p_a is not None else cfg.p_a
     params = QueueParams(p_a=p_a, mu=mu, discipline=q.discipline, n_slots=q.n_slots, seed=spec.seed)
     trace, _ = simulate_queue(params)
-    return SweepResult("queue-path", "slot", np.arange(1.0, q.n_slots + 1),
+    return SweepResult(spec.name, "slot", np.arange(1.0, q.n_slots + 1),
                        {"aoi": trace.aoi_path.astype(float)},
                        _metadata(cfg, spec, None) | {"mu": mu, "p_a": p_a})

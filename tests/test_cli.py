@@ -3,6 +3,8 @@ import functools
 import json
 import sys
 
+import pytest
+
 from aoiharvest import experiments, jsp
 from aoiharvest.cli import main
 from aoiharvest.config import EXPERIMENT_NAMES
@@ -46,6 +48,42 @@ def test_validate_rejects_out_of_range_run_settings(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert "config ok" not in out
         assert f"{cfg}:2: key '{key}'" in err
+
+
+def test_validate_rejects_bad_sweep_axis(tmp_path, capsys):
+    for key, axis in [("sweep_step", "sweep_start = 0\nsweep_stop = 1\nsweep_step = 0\n"),
+                      ("sweep_stop", "sweep_start = 1\nsweep_stop = 0\nsweep_step = 1\n"),
+                      ("sweep_unit", "sweep_start = 20\nsweep_stop = 40\nsweep_step = 20\nsweep_unit = dB\n")]:
+        cfg = write_cfg(tmp_path, "[experiment]\nname = jsp-vs-radius\n" + axis)
+        assert main(["validate", cfg]) == 1
+        out, err = capsys.readouterr()
+        assert "config ok" not in out
+        assert f"key '{key}'" in err
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--seed", "-1", "must be >= 0"),
+    ("--trials", "0", "must be >= 1"),
+    ("--trials", "-5", "must be >= 1"),
+    ("--seed", "1.5", "invalid int value: '1.5'"),
+])
+def test_out_of_range_overrides_name_the_option(tmp_path, capsys, option, value, message):
+    cfg = write_cfg(tmp_path, "[queue]\nmu = 0.5\nn_slots = 5\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--experiment", "queue-path", "--out", str(out), option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overrides_at_their_limits_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, "[queue]\nmu = 0.5\nn_slots = 5\n")
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--experiment", "queue-path", "--out", str(out),
+                 "--seed", "0", "--trials", "1"]) == 0
+    meta = json.loads((out / "queue-path.csv.meta.json").read_text())
+    assert (meta["seed"], meta["trials"]) == (0, 1)
 
 
 def test_unknown_experiment_exit_code(tmp_path, capsys):

@@ -110,6 +110,66 @@ def test_run_settings_at_their_limits_accepted(tmp_path):
     assert (spec.seed, spec.queue.mu, spec.queue.p_a) == (0, 1.0, 1e-9)
 
 
+def _sweep_cfg(tmp_path, name, start="0", stop="1", step="1", unit=None):
+    text = f"[experiment]\nname = {name}\nsweep_start = {start}\nsweep_stop = {stop}\nsweep_step = {step}\n"
+    return write(tmp_path, text + (f"sweep_unit = {unit}\n" if unit is not None else ""))
+
+
+@pytest.mark.parametrize("name,unit,allowed", [
+    ("jsp-vs-radius", "dB", "'m' on the radius axis"),
+    ("xistar-vs-radius", "W", "'m' on the radius axis"),
+    ("jsp-vs-power", "mW", "'dB' or 'W' on the p_t axis"),
+    ("xistar-vs-power", "m", "'dB' or 'W' on the p_t axis"),
+    ("jsp-vs-xi", "dB", "'' on the xi axis"),
+    ("paoi-vs-xi", "m", "'' on the xi axis"),
+])
+def test_sweep_unit_must_fit_the_axis(tmp_path, name, unit, allowed):
+    path = _sweep_cfg(tmp_path, name, unit=unit)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:6: key 'sweep_unit': must be {allowed} of {name}, got {unit!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("name,unit", [("jsp-vs-power", "dB"), ("jsp-vs-power", "db"), ("jsp-vs-power", "W"),
+                                       ("jsp-vs-radius", "m"), ("paoi-vs-xi", ""), ("jsp-vs-xi", None)])
+def test_sweep_units_that_fit_are_kept(tmp_path, name, unit):
+    _, spec = parse_config(_sweep_cfg(tmp_path, name, start="0.2", stop="0.4", step="0.2", unit=unit))
+    assert spec.sweep == SweepAxis(0.2, 0.4, 0.2, "" if unit is None else unit)
+
+
+@pytest.mark.parametrize("key,value,line,message", [
+    ("step", "0", 5, "key 'sweep_step': must be finite and > 0"),
+    ("step", "-2", 5, "key 'sweep_step': must be finite and > 0"),
+    ("step", "nan", 5, "key 'sweep_step': must be finite and > 0"),
+    ("step", "inf", 5, "key 'sweep_step': must be finite and > 0"),
+    ("start", "-inf", 3, "key 'sweep_start': must be finite"),
+    ("start", "nan", 3, "key 'sweep_start': must be finite"),
+    ("stop", "inf", 4, "key 'sweep_stop': must be finite and >= sweep_start 0.0"),
+    ("stop", "-1", 4, "key 'sweep_stop': must be finite and >= sweep_start 0.0"),
+])
+def test_bad_sweep_axis_names_key_and_line(tmp_path, key, value, line, message):
+    path = _sweep_cfg(tmp_path, "jsp-vs-power", **{key: value})
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:{line}: {message}" in str(err.value)
+
+
+def test_one_point_sweep_axis_accepted(tmp_path):
+    _, spec = parse_config(_sweep_cfg(tmp_path, "jsp-vs-radius", start="200", stop="200", step="50"))
+    assert spec.sweep.values() == [200.0]
+
+
+def test_sweep_keys_need_an_axis(tmp_path):
+    path = write(tmp_path, "[experiment]\nsweep_unit = W\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)  # a unit alone would leave the dB default axis in place
+    assert "sweep_unit needs them too" in str(err.value)
+    path = _sweep_cfg(tmp_path, "queue-path")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert f"{path}:3: queue-path has no sweep axis" in str(err.value)
+
+
 def test_malformed_line_rejected(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(write(tmp_path, "[network]\nxi\n"))

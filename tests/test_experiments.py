@@ -6,6 +6,7 @@ import pytest
 
 from aoiharvest import experiments
 from aoiharvest.cli import main
+from aoiharvest.config import SWEEPS
 from aoiharvest.experiments import SweepResult, write_csv
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 3.0, -7.0, 0.1, 1 / 3, 2.5e-8]
@@ -50,3 +51,58 @@ def test_queue_path_plot_writes_svg(tmp_path):
     assert main(["run", str(cfg), "--experiment", "queue-path", "--out", str(out), "--plot"]) == 0
     svg = (out / "queue-path.svg").read_text(encoding="utf-8")
     assert svg.startswith("<svg") and "<polyline" in svg
+
+
+# Two-point sweeps of every sweep experiment at p_t = 0 dB with pr_min = 0.5 W,
+# where the nonlinear circuit is inactive at some points, so that the linear and
+# nonlinear columns differ: (axis, header, rows) as the sweep runners wrote them
+# before the experiments shared one driver.
+_TWO_POINT = {
+    "jsp-vs-power": ((0.0, 10.0, 10.0, "dB"),
+                     ["p_t_db", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
+                     [[0.0, 0.09333333333333334, 0.08686048765865867, 0.6514436512818513,
+                       0.0033333333333333335, 0.0, 0.0],
+                      [10.0, 0.5166666666666667, 0.3326575067231874, 0.9868947170968957,
+                       0.06666666666666667, 0.3326575067231874, 0.9868947170968957]]),
+    "jsp-vs-radius": ((40.0, 80.0, 40.0, "m"),
+                      ["radius", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
+                      [[40.0, 0.12, 0.08725405838214188, 0.46073753286156266,
+                        0.0033333333333333335, 0.0, 0.0],
+                       [80.0, 0.10333333333333333, 0.08635019306047609, 0.7870830574130498,
+                        0.013333333333333334, 0.0, 0.0]]),
+    "jsp-vs-xi": ((0.3, 0.6, 0.3, ""),
+                  ["xi", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
+                  [[0.3, 0.07333333333333333, 0.07250862951390949, 0.5832409801857015,
+                    0.0033333333333333335, 0.0, 0.0],
+                   [0.6, 0.13666666666666666, 0.11141556669927509, 0.7449802587378274,
+                    0.0033333333333333335, 0.0, 0.0]]),
+    "paoi-vs-xi": ((0.3, 0.6, 0.3, ""),
+                   ["xi", "np_upper", "p_upper", "np_upper_nl", "p_upper_nl"],
+                   [[0.3, 28.58292376242383, 16.65624874162763, math.inf, math.inf],
+                    [0.6, 18.950812972107002, 11.774913403110347, math.inf, math.inf]]),
+    "xistar-vs-power": ((10.0, 20.0, 10.0, "dB"),
+                        ["p_t_db", "xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"],
+                        [[10.0] + [0.8599853372512829] * 3, [20.0] + [0.6437694101250946] * 3]),
+    "xistar-vs-radius": ((50.0, 100.0, 50.0, "m"),
+                         ["radius", "xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"],
+                         [[50.0] + [0.9080486514986119] * 3, [100.0] + [0.8017814047519137] * 3]),
+}
+
+
+def test_two_point_table_covers_every_sweep():
+    assert set(_TWO_POINT) == {name for name, sweep in SWEEPS.items() if sweep is not None}
+
+
+@pytest.mark.parametrize("name", sorted(_TWO_POINT))
+def test_two_point_sweep_matches_recorded_values(tmp_path, name):
+    (start, stop, step, unit), header, rows = _TWO_POINT[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[network]\np_t = 0 dB\n[harvester]\npr_min = 0.5\n"
+                   f"[experiment]\nname = {name}\ntrials = 300\nseed = 2\n"
+                   f"sweep_start = {start}\nsweep_stop = {stop}\nsweep_step = {step}\nsweep_unit = {unit}\n",
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / f"{name}.csv", newline="", encoding="utf-8") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == header
+    assert [[float(v) for v in row] for row in got[1:]] == [pytest.approx(row, rel=1e-9) for row in rows]
