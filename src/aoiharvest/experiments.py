@@ -9,9 +9,7 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,9 +24,6 @@ from .optimizer import XiObjective, optimize_xi
 from .quadrature import QuadratureSpec
 
 __all__ = ["SweepResult", "run_experiment", "write_csv", "write_svg", "UnknownExperimentError"]
-
-THREADS_ENV = "AOI_EH_THREADS"
-
 
 class UnknownExperimentError(ValueError):
     def __init__(self, name: str):
@@ -62,19 +57,6 @@ def write_csv(result: SweepResult, path: Path) -> None:
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _thread_cap() -> int | None:
-    cap = os.environ.get(THREADS_ENV)
-    if cap is None:
-        return None
-    try:
-        cap_n = int(cap)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
-    if cap_n < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1")
-    return cap_n
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -124,15 +106,6 @@ def write_svg(result: SweepResult, path: Path, width: int = 640, height: int = 4
     path.write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
-def _map_points(fn, points):
-    """Evaluate sweep points, optionally on a thread pool; order preserved."""
-    workers = min(_thread_cap() or 1, max(1, len(points)))
-    if workers == 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
-
-
 def _metadata(cfg: NetworkConfig, spec: ExperimentSpec, axis: SweepAxis | None) -> dict:
     meta = {
         "experiment": spec.name,
@@ -151,7 +124,6 @@ def run_experiment(cfg: NetworkConfig, spec: ExperimentSpec, plot: bool = False)
     """Run one named experiment; returns the paths written."""
     if spec.name not in EXPERIMENT_NAMES:
         raise UnknownExperimentError(spec.name)
-    _thread_cap()  # fail fast on a malformed worker cap
     out_dir = Path(spec.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result = _run_queue_path(cfg, spec) if SWEEPS[spec.name] is None else _run_sweep(cfg, spec)
@@ -225,7 +197,7 @@ def _run_sweep(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
     to_field = db_to_watt if db and field == "p_t" else float
 
     values = axis.values()
-    rows = _map_points(lambda x: point(replace(cfg, **{field: to_field(x)}), spec), values)
+    rows = [point(replace(cfg, **{field: to_field(x)}), spec) for x in values]
     for x, row in zip(values, rows):
         for c, (_, ok) in row.items():
             if not ok:

@@ -74,15 +74,27 @@ def sample_batch(ppp: DiscPpp, trials: int, rng: np.random.Generator):
     drawn from the PMF conditioned on K >= 2, distances are sorted ascending
     within each trial (index starts[i] is the serving link), and gains are
     unit-mean exponential draws.
+
+    The distances are sorted as the rows of a (trials, max count) matrix
+    padded with +inf: row i holds trial i's draws in its first counts[i]
+    cells, and after the row sort those cells hold the same values ascending,
+    read back in the flat layout. So the output equals a (trial, distance)
+    lexsort of the flat draw bit for bit; equal distances are equal values,
+    and the gains, drawn after the sort, pair with positions.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     ks, cdf = _truncated_count_table(ppp)
     idx = np.searchsorted(cdf, rng.random(trials), side="right")
     counts = ks[np.minimum(idx, len(ks) - 1)]
     total = int(counts.sum())
+    filled = np.arange(counts.max()) < counts[:, None]
+    rows = np.full(filled.shape, np.inf)
     # Uniform placement in the disc: radius R*sqrt(U); only distances matter.
-    d = ppp.radius * np.sqrt(rng.random(total))
-    seg = np.repeat(np.arange(trials), counts)
-    d = d[np.lexsort((d, seg))]
+    rows[filled] = ppp.radius * np.sqrt(rng.random(total))
+    rows.sort(axis=1)
+    d = rows[filled]
+    del rows  # freed before the gains are drawn, to keep peak memory down
     # Gains are i.i.d., so drawing them after the sort is distribution-identical.
     g = rng.standard_exponential(total)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

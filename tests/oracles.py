@@ -4,11 +4,14 @@ Everything here deliberately avoids the library's samplers and closed forms:
 a different bit generator (MT19937), rejection-based conditioning on the
 count, rejection sampling of positions from the bounding square, and explicit
 per-trial loops. Slow but structurally unrelated to the code under test.
-Two exceptions. ``count_series_integrand`` reuses the library's Erlang
+Three exceptions. ``count_series_integrand`` reuses the library's Erlang
 integrals and Poisson PMF term by term: it checks the closed-form sums over
 the transmitter count, not those reference forms. ``simulate_queue_loop``
 draws exactly what ``aoi.simulate_queue`` draws and walks the slot recursion
 one slot at a time, so the vectorised simulator must match it bit for bit.
+``sample_batch_lexsort`` draws exactly what ``geometry.sample_batch`` draws
+and orders each trial's distances with one global (trial, distance) lexsort,
+so the padded row sort of the sampler must match it bit for bit.
 The serving and farthest distance densities (in the form the bound integrals
 use), their normalized laws and the truncated count mean are references for
 the sampler's distribution fits.
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
-from aoiharvest.geometry import DiscPpp, pmf_count
+from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
 from aoiharvest.quadrature import erlang_lower, erlang_upper
 
@@ -236,6 +239,25 @@ def count_series_integrand(cfg: NetworkConfig, kind: str, d1, dk=None) -> np.nda
             inner = energy + erlang_upper(k - 1, c_sir, z)
             total += pmf_count(k, ppp) / ppp.prob_at_least_two * geom * inner
     return total
+
+
+def sample_batch_lexsort(ppp: DiscPpp, trials: int, rng) -> tuple[np.ndarray, ...]:
+    """Reference disc sampler: ``geometry.sample_batch``'s draws, sorted by one lexsort.
+
+    Same count, distance and gain draws in the same order; each trial's
+    distances are ordered by a global lexsort on (trial index, distance), so
+    (counts, starts, distances, gains) must agree bit for bit.
+    """
+    ks, cdf = _truncated_count_table(ppp)
+    idx = np.searchsorted(cdf, rng.random(trials), side="right")
+    counts = ks[np.minimum(idx, len(ks) - 1)]
+    total = int(counts.sum())
+    d = ppp.radius * np.sqrt(rng.random(total))
+    seg = np.repeat(np.arange(trials), counts)
+    d = d[np.lexsort((d, seg))]
+    g = rng.standard_exponential(total)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    return counts, starts, d, g
 
 
 def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:

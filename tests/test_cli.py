@@ -1,11 +1,10 @@
 import csv
 import functools
 import json
-import sys
 
 import pytest
 
-from aoiharvest import experiments, jsp
+from aoiharvest import experiments
 from aoiharvest.cli import main
 from aoiharvest.config import EXPERIMENT_NAMES
 
@@ -170,51 +169,6 @@ def test_unwritable_output_dir(tmp_path, capsys):
     code = main(["run", cfg, "--experiment", "queue-path", "--out", str(blocker / "sub")])
     assert code == 1
     assert capsys.readouterr().err
-
-
-def test_thread_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("AOI_EH_THREADS", "zero")
-    cfg = write_cfg(tmp_path, "[queue]\nmu = 1\nn_slots = 5\n")
-    assert main(["run", cfg, "--experiment", "queue-path", "--out", str(tmp_path / "o")]) == 1
-
-
-def test_thread_pool_output_matches_serial(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path, (
-        "[experiment]\nname = jsp-vs-power\ntrials = 200\nseed = 4\n"
-        "sweep_start = 0\nsweep_stop = 12\nsweep_step = 4\nsweep_unit = dB\n"
-    ))
-    out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-    monkeypatch.delenv("AOI_EH_THREADS", raising=False)
-    assert main(["run", cfg, "--out", str(out1)]) == 0
-    monkeypatch.setenv("AOI_EH_THREADS", "4")
-    assert main(["run", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "jsp-vs-power.csv").read_bytes() == (out2 / "jsp-vs-power.csv").read_bytes()
-
-
-def test_cold_cache_output_matches_across_worker_counts(tmp_path, monkeypatch):
-    # Every run starts from empty caches, so pooled workers race to fill them.
-    cfg = write_cfg(tmp_path, (
-        "[experiment]\nname = jsp-vs-power\ntrials = 500\nseed = 6\n"
-        "sweep_start = 0\nsweep_stop = 12\nsweep_step = 3\nsweep_unit = dB\n"
-    ))
-    outputs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for threads in (None, "2", "4"):
-            jsp._geometry_sums.cache_clear()
-            jsp._bound_integral.cache_clear()
-            if threads is None:
-                monkeypatch.delenv("AOI_EH_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("AOI_EH_THREADS", threads)
-            out = tmp_path / f"t{threads}"
-            assert main(["run", cfg, "--out", str(out)]) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("jsp-vs-power.csv", "jsp-vs-power.csv.meta.json")])
-    finally:
-        sys.setswitchinterval(interval)
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_unconverged_bound_is_reported(tmp_path, monkeypatch, capsys):

@@ -17,10 +17,12 @@ from oracles import (
     pdf_nearest,
     pdf_nearest_normalized,
     poisson_pmf_exact,
+    sample_batch_lexsort,
     truncated_mean_count,
 )
 
 DEFAULT = DiscPpp.from_config(NetworkConfig())
+SPARSE = DiscPpp(density=0.5 / (math.pi * 1.0**2), radius=1.0)  # mean count 0.5: almost every K = 2
 
 
 def test_mean_count_identity():
@@ -30,8 +32,7 @@ def test_mean_count_identity():
 
 
 def test_sampling_always_at_least_two():
-    sparse = DiscPpp(density=0.5 / (math.pi * 1.0**2), radius=1.0)  # mean count 0.5
-    counts, starts, d, g = sample_batch(sparse, 2000, np.random.default_rng(0))
+    counts, starts, d, g = sample_batch(SPARSE, 2000, np.random.default_rng(0))
     assert counts.min() >= 2
     assert d.size == g.size == counts.sum()
     assert np.array_equal(starts, np.cumsum(counts) - counts)
@@ -84,6 +85,24 @@ def test_sampling_is_seed_reproducible():
     c = sample_batch(DEFAULT, 64, np.random.default_rng(1235))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not np.array_equal(a[2], c[2])
+
+
+@pytest.mark.parametrize("ppp", [SPARSE, DEFAULT, DiscPpp(density=0.003, radius=200.0)],
+                         ids=["sparse", "R60", "R200"])
+@pytest.mark.parametrize("trials", [1, 64, 4000])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_row_sort_matches_lexsort_reference(ppp, trials, seed):
+    got = sample_batch(ppp, trials, np.random.default_rng(seed))
+    want = sample_batch_lexsort(ppp, trials, np.random.default_rng(seed))
+    for name, a, b in zip(("counts", "starts", "distances", "gains"), got, want):
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_sampling_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sample_batch(DEFAULT, trials, np.random.default_rng(0))
 
 
 def test_pdf_values_and_domain():

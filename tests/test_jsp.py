@@ -94,6 +94,12 @@ def test_select_regime():
     assert select_regime(mid) == "case_b"
 
 
+def test_select_regime_rejects_zero_probes():
+    mid = NetworkConfig(harvester=HarvesterModel(kind="nonlinear", pr_min=1e-6, pr_max=1e6))
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        select_regime(mid, probes=0)
+
+
 def test_bounds_zero_in_case_a():
     cfg = NetworkConfig(harvester=HarvesterModel(kind="nonlinear", pr_min=1e6, pr_max=1e7))
     assert jsp_lower_bound(cfg).value == 0.0
