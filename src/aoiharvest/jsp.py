@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 REGIMES = ("linear", "case_a", "case_b", "case_c")
+_AUTO_REGIME = {"linear": "linear", "nonlinear": "case_b"}  # label without an explicit regime=
 
 _Z95 = 1.959963984540054
 
@@ -77,31 +78,20 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
 def _count_events(cfg: NetworkConfig, beta: float, sums: np.ndarray) -> int:
     """Trials whose harvested energy and SIR clear both thresholds."""
     serving, total = sums
-    interference = total - serving
     pr = cfg.p_t * total
-    linear = cfg.eta * cfg.xi * cfg.tau * pr
-    h = cfg.harvester
-    if h.kind == "linear":
-        energy = linear
-    else:
-        energy = np.where(pr < h.pr_min, 0.0,
-                          np.where(pr > h.pr_max, cfg.eta * cfg.xi * cfg.tau * h.pr_max, linear))
-    ok = (energy > cfg.e_th) & (serving > beta * interference)
+    lo, hi = cfg.harvester.window
+    ok = ((pr >= lo) & (cfg.eta * cfg.xi * cfg.tau * np.minimum(pr, hi) > cfg.e_th)
+          & (serving > beta * (total - serving)))
     return int(np.count_nonzero(ok))
 
 
 @functools.lru_cache(maxsize=8)
-def _geometry_sums(ppp: DiscPpp, alpha: float, trials: int, seed: int, probe: bool) -> np.ndarray:
-    """Read-only (2, trials) rows: per-trial serving term and total of g d^-alpha.
-
-    Monte Carlo draws fixed-size chunks on streams spawned from ``seed``; the
-    regime probe draws one chunk from the stream (seed, 0xA01).
-    """
-    if probe:
-        chunk, streams = trials, [np.random.SeedSequence((seed, 0xA01))]
-    else:  # keep the flat point arrays around a few million entries per chunk
-        chunk = min(1 << 14, max(1 << 10, int(4e6 / max(ppp.mean_count, 1.0))))
-        streams = np.random.SeedSequence(seed).spawn((trials + chunk - 1) // chunk)
+def _geometry_sums(ppp: DiscPpp, alpha: float, trials: int, seed: int) -> np.ndarray:
+    """Read-only (2, trials) rows: per-trial serving term and total of g d^-alpha,
+    drawn in fixed-size chunks on streams spawned from ``seed``."""
+    # keep the flat point arrays around a few million entries per chunk
+    chunk = min(1 << 14, max(1 << 10, int(4e6 / max(ppp.mean_count, 1.0))))
+    streams = np.random.SeedSequence(seed).spawn((trials + chunk - 1) // chunk)
     sums = np.empty((2, trials))  # filled in place: per-chunk arrays fragment the heap
     for i, child in enumerate(streams):
         part = slice(i * chunk, min(trials, (i + 1) * chunk))
@@ -122,29 +112,32 @@ def jsp_monte_carlo(cfg: NetworkConfig, trials: int = 100_000, seed: int = 0) ->
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sums = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, trials, seed, False)
+    sums = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, trials, seed)
     successes = _count_events(cfg, sir_threshold(cfg), sums)
     return JspEstimate(
         value=successes / trials,
         method="monte_carlo",
-        regime=select_regime(cfg),
+        regime=_AUTO_REGIME[cfg.harvester.kind],
         trials=trials,
         ci_halfwidth=wilson_halfwidth(successes, trials),
     )
 
 
 def select_regime(cfg: NetworkConfig, seed: int = 0, probes: int = 4096) -> str:
-    """Operating regime of the harvester at this configuration.
+    """Paper-style operating regime of the harvester; no estimate or output reads it.
 
-    Linear circuits short-circuit to "linear". Otherwise the empirical mean
-    of the total received power over a short fixed-seed conditioned sample is
-    compared against the circuit thresholds. Deterministic given the seed.
+    Linear circuits short-circuit to "linear". Otherwise the sample mean of the
+    total received power over ``probes`` conditioned trials on the stream
+    (seed, 0xA01) is compared against the circuit thresholds. That mean has an
+    infinite expectation (E[d^-alpha] diverges in 2-D for alpha >= 2), so the
+    answer moves with the seed and the probe count.
     """
     h = cfg.harvester
     if h.kind == "linear":
         return "linear"
-    total = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, probes, seed, True)[1]
-    mean_pr = float((cfg.p_t * total).mean())
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA01)))
+    _, starts, d, g = geometry.sample_batch(DiscPpp.from_config(cfg), probes, rng)
+    mean_pr = float((cfg.p_t * np.add.reduceat(g * d ** -cfg.alpha, starts)).mean())
     if mean_pr < h.pr_min:
         return "case_a"
     if mean_pr > h.pr_max:
@@ -326,12 +319,16 @@ def _bound_integral(cfg_key: NetworkConfig, integral: str, spec: QuadratureSpec)
 
 def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None,
            side: str) -> JspEstimate:
-    if regime is None:
-        regime = select_regime(cfg)
-    elif regime not in REGIMES:
+    if regime is not None and regime not in REGIMES:
         raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-    method = f"analytic_{side}"
-    if regime == "case_a" or cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg)):
+    # Without a regime, pathwise identities on the input-power window (lo, hi)
+    # decide, with k = eta xi tau: no slot succeeds if k hi <= e_th; the event is
+    # the linear one if k lo <= e_th; else it lies inside it (linear upper only).
+    lo, hi = cfg.harvester.window if regime is None else (0.0, math.inf)
+    k = cfg.eta * cfg.xi * cfg.tau
+    method, regime = f"analytic_{side}", regime or _AUTO_REGIME[cfg.harvester.kind]
+    if (regime == "case_a" or cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg))
+            or k * hi <= cfg.e_th or (side == "lower" and k * lo > cfg.e_th)):
         return JspEstimate(value=0.0, method=method, regime=regime, quadrature_error=0.0)
     integral = "saturated" if side == "lower" and regime == "case_c" else side
     value, err, ok = _bound_integral(replace(cfg, harvester=HarvesterModel()), integral,

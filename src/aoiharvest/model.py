@@ -42,6 +42,11 @@ class HarvesterModel:
         if self.kind == "nonlinear" and not 0.0 <= self.pr_min < self.pr_max:
             raise InvalidConfigError(f"pr_min must be in [0, pr_max = {self.pr_max}), got {self.pr_min}")
 
+    @property
+    def window(self) -> tuple[float, float]:
+        """Input-power window (lo, hi): no harvest below lo, input clipped at hi."""
+        return (0.0, math.inf) if self.kind == "linear" else (self.pr_min, self.pr_max)
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -85,8 +90,6 @@ def sir_threshold(cfg: NetworkConfig) -> float:
     Strictly increasing in xi (shorter data phase needs a higher rate) and
     diverging as xi -> 1.
     """
-    if cfg.xi >= 1:
-        raise InvalidConfigError("xi must be < 1 for a nonzero data phase")
     rate = cfg.sigma_bits / ((1.0 - cfg.xi) * cfg.tau)
     exponent = rate / cfg.bandwidth
     if exponent >= 1024.0:  # past the double range; the threshold is effectively infinite

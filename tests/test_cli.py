@@ -162,6 +162,18 @@ def test_seed_and_trials_overrides(tmp_path):
     assert meta["seed"] == 2
 
 
+def test_queue_path_derives_mu_only_where_the_lower_bound_is_positive(tmp_path, capsys):
+    # an activation threshold that binds leaves the trivial lower bound 0
+    binding = write_cfg(tmp_path, "[harvester]\nmodel = nonlinear\n[queue]\nn_slots = 5\n", "a.cfg")
+    assert main(["run", binding, "--experiment", "queue-path", "--out", str(tmp_path / "a")]) == 1
+    assert "give [queue] mu explicitly" in capsys.readouterr().err
+    open_window = write_cfg(tmp_path, "[harvester]\nmodel = nonlinear\npr_min = 0.001\n"
+                                      "[queue]\nn_slots = 5\n", "b.cfg")
+    assert main(["run", open_window, "--experiment", "queue-path", "--out", str(tmp_path / "b")]) == 0
+    meta = json.loads((tmp_path / "b" / "queue-path.csv.meta.json").read_text())
+    assert 0.0 < meta["mu"] < 1.0
+
+
 def test_unwritable_output_dir(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a dir")

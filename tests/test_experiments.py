@@ -54,28 +54,29 @@ def test_queue_path_plot_writes_svg(tmp_path):
 
 
 # Two-point sweeps of every sweep experiment at p_t = 0 dB with pr_min = 0.5 W,
-# where the nonlinear circuit is inactive at some points, so that the linear and
+# where the activation threshold binds at every point, so that the linear and
 # nonlinear columns differ: (axis, header, rows) as the sweep runners wrote them
-# before the experiments shared one driver.
+# before the experiments shared one driver, except that each lower_nl is the
+# trivial bound 0 and each upper_nl the row's linear upper.
 _TWO_POINT = {
     "jsp-vs-power": ((0.0, 10.0, 10.0, "dB"),
                      ["p_t_db", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
                      [[0.0, 0.09333333333333334, 0.08686048765865867, 0.6514436512818513,
-                       0.0033333333333333335, 0.0, 0.0],
+                       0.0033333333333333335, 0.0, 0.6514436512818513],
                       [10.0, 0.5166666666666667, 0.3326575067231874, 0.9868947170968957,
-                       0.06666666666666667, 0.3326575067231874, 0.9868947170968957]]),
+                       0.06666666666666667, 0.0, 0.9868947170968957]]),
     "jsp-vs-radius": ((40.0, 80.0, 40.0, "m"),
                       ["radius", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
                       [[40.0, 0.12, 0.08725405838214188, 0.46073753286156266,
-                        0.0033333333333333335, 0.0, 0.0],
+                        0.0033333333333333335, 0.0, 0.46073753286156266],
                        [80.0, 0.10333333333333333, 0.08635019306047609, 0.7870830574130498,
-                        0.013333333333333334, 0.0, 0.0]]),
+                        0.013333333333333334, 0.0, 0.7870830574130498]]),
     "jsp-vs-xi": ((0.3, 0.6, 0.3, ""),
                   ["xi", "mc", "lower", "upper", "mc_nl", "lower_nl", "upper_nl"],
                   [[0.3, 0.07333333333333333, 0.07250862951390949, 0.5832409801857015,
-                    0.0033333333333333335, 0.0, 0.0],
+                    0.0033333333333333335, 0.0, 0.5832409801857015],
                    [0.6, 0.13666666666666666, 0.11141556669927509, 0.7449802587378274,
-                    0.0033333333333333335, 0.0, 0.0]]),
+                    0.0033333333333333335, 0.0, 0.7449802587378274]]),
     "paoi-vs-xi": ((0.3, 0.6, 0.3, ""),
                    ["xi", "np_upper", "p_upper", "np_upper_nl", "p_upper_nl"],
                    [[0.3, 28.58292376242383, 16.65624874162763, math.inf, math.inf],

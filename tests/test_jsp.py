@@ -100,10 +100,22 @@ def test_select_regime_rejects_zero_probes():
         select_regime(mid, probes=0)
 
 
-def test_bounds_zero_in_case_a():
+def test_auto_bounds_where_activation_binds():
+    # no slot harvests below pr_min, so only the trivial lower bound holds; the
+    # nonlinear success set lies inside the linear one, so its upper bound holds
     cfg = NetworkConfig(harvester=HarvesterModel(kind="nonlinear", pr_min=1e6, pr_max=1e7))
-    assert jsp_lower_bound(cfg).value == 0.0
-    assert jsp_upper_bound(cfg).value == 0.0
+    lo, up = jsp_lower_bound(cfg, spec=FAST_SPEC), jsp_upper_bound(cfg, spec=FAST_SPEC)
+    assert (lo.value, lo.quadrature_error, lo.regime) == (0.0, 0.0, "case_b")
+    assert up == replace(jsp_upper_bound(NetworkConfig(), spec=FAST_SPEC), regime="case_b")
+    assert up.value > 0.5
+
+
+def test_auto_bounds_zero_where_saturation_rules_out_success():
+    # eta xi tau pr_max = 0.0072 J <= e_th: no slot can harvest enough
+    cfg = NetworkConfig(harvester=HarvesterModel(kind="nonlinear", pr_min=0.0, pr_max=0.02))
+    for c in (cfg, NetworkConfig(xi=0.0), replace(cfg, xi=0.0)):  # xi = 0 meets 0 * inf
+        for est in (jsp_lower_bound(c), jsp_upper_bound(c)):
+            assert (est.value, est.quadrature_error) == (0.0, 0.0)
 
 
 def test_bounds_vanish_as_data_phase_closes():
@@ -156,6 +168,41 @@ def test_case_c_upper_uses_general_form():
     up_sat = jsp_upper_bound(sat, regime="case_c", spec=FAST_SPEC)
     up_lin = jsp_upper_bound(lin, regime="linear", spec=FAST_SPEC)
     assert up_sat.value == pytest.approx(up_lin.value, abs=1e-9)
+
+
+# (pr_min, pr_max, p_t in dB, expected auto bounds): "linear" where the window
+# never binds (eta xi tau pr_min <= e_th), "upper" where activation binds (lower
+# is 0, upper the linear one), "zero" where saturation rules success out
+_SANDWICH_GRID = [
+    (1e-3, 10.0, 0.0, "linear"),
+    (1e-3, 10.0, 10.0, "linear"),
+    (0.0, 0.05, 10.0, "linear"),   # saturation clips but still clears e_th
+    (0.045, 10.0, 0.0, "upper"),
+    (0.045, 10.0, 10.0, "upper"),
+    (0.5, 10.0, 0.0, "upper"),
+    (0.5, 1.0, 20.0, "upper"),
+    (0.0, 0.02, 10.0, "zero"),
+]
+
+
+def _fields(est):
+    return est.value, est.quadrature_error, est.converged
+
+
+@pytest.mark.parametrize("pr_min, pr_max, db, expected", _SANDWICH_GRID)
+def test_auto_nonlinear_bounds_sandwich_monte_carlo(pr_min, pr_max, db, expected):
+    lin = NetworkConfig(p_t=db_to_watt(db))
+    nl = replace(lin, harvester=HarvesterModel(kind="nonlinear", pr_min=pr_min, pr_max=pr_max))
+    mc = jsp_monte_carlo(nl, trials=20_000, seed=41)
+    lo, up = jsp_lower_bound(nl, spec=FAST_SPEC), jsp_upper_bound(nl, spec=FAST_SPEC)
+    assert lo.value - mc.ci_halfwidth - lo.quadrature_error <= mc.value
+    assert mc.value <= up.value + mc.ci_halfwidth + up.quadrature_error
+    lin_lo, lin_up = jsp_lower_bound(lin, spec=FAST_SPEC), jsp_upper_bound(lin, spec=FAST_SPEC)
+    if expected == "zero":
+        assert mc.value == lo.value == up.value == 0.0
+    else:
+        assert _fields(up) == _fields(lin_up)
+        assert _fields(lo) == (_fields(lin_lo) if expected == "linear" else (0.0, 0.0, True))
 
 
 def test_invalid_regime_and_mode_rejected():
@@ -303,13 +350,13 @@ def test_geometry_is_sampled_once_per_sweep(monkeypatch):
     for db in (0.0, 10.0, 20.0):
         for harvester in (HarvesterModel(), nl):
             jsp_monte_carlo(NetworkConfig(p_t=db_to_watt(db), harvester=harvester), trials=3000, seed=2)
-    assert calls == [3000, 4096]  # one Monte Carlo chunk, one regime probe
+    assert calls == [3000]  # one Monte Carlo chunk for all six points
 
 
 def test_cached_sums_are_read_only():
     cfg = NetworkConfig()
     jsp_monte_carlo(cfg, trials=2000, seed=1)
-    sums = jsp._geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, 2000, 1, False)
+    sums = jsp._geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, 2000, 1)
     with pytest.raises(ValueError):
         sums[0, 0] = 1.0
 
