@@ -18,7 +18,7 @@ from .aoi import (
     simulate_queue,
 )
 from .geometry import DiscPpp, pmf_count
-from .jsp import JspEstimate, jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound, select_regime
+from .jsp import JspEstimate, jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound
 from .model import HarvesterModel, NetworkConfig, sir_threshold
 from .optimizer import XiObjective, XiOptimum, evaluate_objective, optimize_xi
 from .quadrature import QuadratureSpec, erlang_lower, erlang_upper, integrate_adaptive, poisson_series
@@ -39,7 +39,6 @@ __all__ = [
     "jsp_monte_carlo",
     "jsp_lower_bound",
     "jsp_upper_bound",
-    "select_regime",
     "QueueParams",
     "QueueTrace",
     "PaoiStats",

@@ -16,7 +16,7 @@ Sections and keys (all optional):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .model import HarvesterModel, InvalidConfigError, NetworkConfig, db_to_watt
@@ -31,8 +31,6 @@ class ConfigError(ValueError):
         prefix = f"{loc}: " if path is not None else ""
         keypart = f"key '{key}': " if key else ""
         super().__init__(f"{prefix}{keypart}{message}")
-        self.line = line
-        self.key = key
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,20 @@ class SweepAxis:
     step: float
     unit: str = ""
 
-    def values(self) -> list[float]:
+    def _count(self) -> int:
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
         n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
         if n < 1:
             raise ConfigError("sweep axis is empty")
-        return [self.start + i * self.step for i in range(n)]
+        return n
+
+    def values(self) -> list[float]:
+        return [self.start + i * self.step for i in range(self._count())]
+
+    def ends(self) -> tuple[float, float]:
+        """First and last of ``values()``, without building the list."""
+        return self.start, self.start + (self._count() - 1) * self.step
 
 
 # Per experiment: the NetworkConfig field its axis sets and the default axis;
@@ -67,6 +72,13 @@ EXPERIMENT_NAMES = tuple(SWEEPS)
 
 # Units a sweep axis may give, per field (matched without regard to case).
 _AXIS_UNITS = {"p_t": ("dB", "W"), "radius": ("m",), "xi": ("",)}
+
+
+def _axis_conversion(field: str, unit: str):
+    """(column label, axis value -> field value) of a sweep axis over ``field``:
+    a dB axis is labelled ``<field>_db``, and its p_t values become watts."""
+    db = unit.lower() == "db"
+    return (f"{field}_db" if db else field), (db_to_watt if db and field == "p_t" else float)
 
 
 @dataclass(frozen=True)
@@ -239,6 +251,16 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
             raise ConfigError(f"must be {' or '.join(map(repr, units))} on the {axis_field} axis of "
                               f"{name}, got {unit!r}", path, exp_lines["sweep_unit"], "sweep_unit")
         sweep = SweepAxis(start, stop, step, default.unit if unit is None else unit)
+        # Each field's valid range is an interval and dB -> W is monotone, so
+        # the two ends of the axis decide whether every point is valid.
+        _, to_field = _axis_conversion(axis_field, sweep.unit)
+        for key, x in zip(("sweep_start", "sweep_stop"), sweep.ends()):
+            try:
+                replace(cfg, **{axis_field: to_field(x)})
+            except InvalidConfigError as exc:
+                value = f"{x!r} {sweep.unit}".rstrip()
+                raise ConfigError(f"{name} would set {axis_field} = {value}: {exc}",
+                                  path, exp_lines[key], key) from exc
 
     queue = sections.get("queue", {})
     q_mu = _take(queue, "mu", path, None, float, _PROBABILITY)

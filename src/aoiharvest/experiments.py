@@ -17,9 +17,9 @@ import numpy as np
 
 from . import __version__
 from .aoi import QueueParams, paoi_np_closed_form, paoi_p_closed_form, simulate_queue
-from .config import EXPERIMENT_NAMES, SWEEPS, ExperimentSpec, SweepAxis
+from .config import EXPERIMENT_NAMES, SWEEPS, ExperimentSpec, SweepAxis, _axis_conversion
 from .jsp import jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound
-from .model import HarvesterModel, NetworkConfig, db_to_watt
+from .model import HarvesterModel, NetworkConfig
 from .optimizer import XiObjective, optimize_xi
 from .quadrature import QuadratureSpec
 
@@ -28,7 +28,6 @@ __all__ = ["SweepResult", "run_experiment", "write_csv", "write_svg", "UnknownEx
 class UnknownExperimentError(ValueError):
     def __init__(self, name: str):
         super().__init__(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
-        self.name = name
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,9 @@ def write_csv(result: SweepResult, path: Path) -> None:
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def write_svg(result: SweepResult, path: Path, width: int = 640, height: int = 420) -> None:
-    """Optional post-step: a plain line chart of every finite series."""
-    pad = 56
+def write_svg(result: SweepResult, path: Path) -> None:
+    """Optional post-step: a plain 640 x 420 line chart of every finite series."""
+    width, height, pad = 640, 420, 56
     xs = np.asarray(result.axis).tolist()
     series = {name: np.asarray(vals).tolist() for name, vals in result.series.items()}
     finite = [v for vals in series.values() for v in vals if math.isfinite(v)]
@@ -192,9 +191,7 @@ def _run_sweep(cfg: NetworkConfig, spec: ExperimentSpec) -> SweepResult:
     did not converge is named on stderr."""
     field, axis = SWEEPS[spec.name][0], spec.resolved_sweep()
     point = _POINTS[spec.name.split("-", 1)[0]]
-    db = axis.unit.lower() == "db"
-    label = f"{field}_db" if db else field
-    to_field = db_to_watt if db and field == "p_t" else float
+    label, to_field = _axis_conversion(field, axis.unit)
 
     values = axis.values()
     rows = [point(replace(cfg, **{field: to_field(x)}), spec) for x in values]

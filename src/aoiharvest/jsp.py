@@ -39,24 +39,18 @@ __all__ = [
     "jsp_monte_carlo",
     "jsp_lower_bound",
     "jsp_upper_bound",
-    "select_regime",
-    "REGIMES",
 ]
 
 REGIMES = ("linear", "case_a", "case_b", "case_c")
-_AUTO_REGIME = {"linear": "linear", "nonlinear": "case_b"}  # label without an explicit regime=
 
 _Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
 class JspEstimate:
-    """A probability value plus its provenance."""
+    """A probability value plus its uncertainty."""
 
     value: float
-    method: str                      # "monte_carlo" | "analytic_lower" | "analytic_upper"
-    regime: str
-    trials: int | None = None
     ci_halfwidth: float | None = None
     quadrature_error: float | None = None
     converged: bool = True
@@ -66,11 +60,11 @@ class JspEstimate:
             raise ValueError("probability outside [0, 1]")
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
-    """Half-width of the Wilson score interval; well behaved near 0 and 1."""
+def wilson_halfwidth(successes: int, trials: int) -> float:
+    """Half-width of the 95% Wilson score interval; well behaved near 0 and 1."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = successes / trials
+    p, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
 
@@ -114,17 +108,12 @@ def jsp_monte_carlo(cfg: NetworkConfig, trials: int = 100_000, seed: int = 0) ->
         raise ValueError("trials must be >= 1")
     sums = _geometry_sums(DiscPpp.from_config(cfg), cfg.alpha, trials, seed)
     successes = _count_events(cfg, sir_threshold(cfg), sums)
-    return JspEstimate(
-        value=successes / trials,
-        method="monte_carlo",
-        regime=_AUTO_REGIME[cfg.harvester.kind],
-        trials=trials,
-        ci_halfwidth=wilson_halfwidth(successes, trials),
-    )
+    return JspEstimate(value=successes / trials, ci_halfwidth=wilson_halfwidth(successes, trials))
 
 
 def select_regime(cfg: NetworkConfig, seed: int = 0, probes: int = 4096) -> str:
-    """Paper-style operating regime of the harvester; no estimate or output reads it.
+    """Paper-style operating regime of the harvester; not exported, and no
+    estimate or output reads it.
 
     Linear circuits short-circuit to "linear". Otherwise the sample mean of the
     total received power over ``probes`` conditioned trials on the stream
@@ -326,24 +315,24 @@ def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None,
     # the linear one if k lo <= e_th; else it lies inside it (linear upper only).
     lo, hi = cfg.harvester.window if regime is None else (0.0, math.inf)
     k = cfg.eta * cfg.xi * cfg.tau
-    method, regime = f"analytic_{side}", regime or _AUTO_REGIME[cfg.harvester.kind]
     if (regime == "case_a" or cfg.xi == 0.0 or not math.isfinite(sir_threshold(cfg))
             or k * hi <= cfg.e_th or (side == "lower" and k * lo > cfg.e_th)):
-        return JspEstimate(value=0.0, method=method, regime=regime, quadrature_error=0.0)
+        return JspEstimate(value=0.0, quadrature_error=0.0)
     integral = "saturated" if side == "lower" and regime == "case_c" else side
     value, err, ok = _bound_integral(replace(cfg, harvester=HarvesterModel()), integral,
                                      spec or QuadratureSpec())
-    return JspEstimate(value=min(max(value, 0.0), 1.0), method=method,
-                       regime=regime, quadrature_error=err, converged=ok)
+    return JspEstimate(value=min(max(value, 0.0), 1.0), quadrature_error=err, converged=ok)
 
 
 def jsp_lower_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None) -> JspEstimate:
-    """Analytic lower bound of the JSP for the given operating regime."""
+    """Analytic lower bound of the JSP. By default the harvester's input-power
+    window picks the construction; ``regime`` (one of ``REGIMES``) forces one."""
     return _bound(cfg, regime, spec, "lower")
 
 
 def jsp_upper_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None) -> JspEstimate:
-    """Analytic upper bound of the JSP for the given operating regime."""
+    """Analytic upper bound of the JSP. By default the harvester's input-power
+    window picks the construction; ``regime`` (one of ``REGIMES``) forces one."""
     return _bound(cfg, regime, spec, "upper")

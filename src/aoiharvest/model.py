@@ -15,7 +15,7 @@ boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class InvalidConfigError(ValueError):
@@ -39,7 +39,8 @@ class HarvesterModel:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "nonlinear"):
             raise InvalidConfigError(f"kind must be 'linear' or 'nonlinear', got {self.kind!r}")
-        if self.kind == "nonlinear" and not 0.0 <= self.pr_min < self.pr_max:
+        # checked for either kind: the sweeps build a nonlinear twin of a linear config
+        if not 0.0 <= self.pr_min < self.pr_max:
             raise InvalidConfigError(f"pr_min must be in [0, pr_max = {self.pr_max}), got {self.pr_min}")
 
     @property
@@ -66,6 +67,10 @@ class NetworkConfig:
     harvester: HarvesterModel = field(default_factory=HarvesterModel)
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "harvester" and not math.isfinite(value):
+                raise InvalidConfigError(f"{f.name} must be finite, got {value}")
         checks = [
             (self.density > 0, "density must be > 0"),
             (self.radius > 0, "radius must be > 0"),
@@ -78,6 +83,8 @@ class NetworkConfig:
             (self.bandwidth > 0, "bandwidth must be > 0"),
             (self.e_th >= 0, "e_th must be >= 0"),
             (0 < self.p_a <= 1, "p_a must be in (0, 1]"),
+            (math.isfinite(self.density * math.pi * self.radius * self.radius),
+             "density * pi * radius^2 (the mean transmitter count) must be finite"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -98,5 +105,9 @@ def sir_threshold(cfg: NetworkConfig) -> float:
 
 
 def db_to_watt(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10) W; inf past the double range, which NetworkConfig rejects."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 

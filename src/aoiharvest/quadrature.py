@@ -7,6 +7,10 @@ evaluators drive their inner and outer distance integrals through it), and a
 truncated Poisson count series for sums with no closed form. Gamma/factorial
 arithmetic stays in log space; shapes reach several hundred at the largest
 disc radii.
+
+No output path calls the Erlang forms or ``poisson_series``. Only acceptance
+criterion 7 (tests/test_acceptance.py) uses both, and the reference bounds in
+tests/oracles.py use the Erlang forms.
 """
 
 from __future__ import annotations
@@ -67,7 +71,6 @@ class IntegralResult:
 class SeriesResult:
     value: float
     truncated_mass: float
-    k_min: int
     k_max: int
 
 
@@ -276,16 +279,13 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     return IntegralResult(total_v, total_e, done(), n_panels)
 
 
-def poisson_series(term, ppp: DiscPpp, series_mass: float | None = None,
-                   spec: QuadratureSpec | None = None) -> SeriesResult:
+def poisson_series(term, ppp: DiscPpp, series_mass: float = QuadratureSpec.series_mass) -> SeriesResult:
     """Sum term(k) over k = 2..k_max with k_max set by retained Poisson mass.
 
     ``term`` must accept an integer ndarray and return matching values. The
     truncated mass (the guaranteed weight of dropped terms when term(k) is
     bounded by pmf(k) times an O(1) factor) is reported alongside the value.
     """
-    if series_mass is None:
-        series_mass = (spec or QuadratureSpec()).series_mass
     m = ppp.mean_count
     k_max = max(2, _poisson_quantile(series_mass, m))
     while pdtr(k_max, m) < series_mass:
@@ -293,4 +293,4 @@ def poisson_series(term, ppp: DiscPpp, series_mass: float | None = None,
     ks = np.arange(2, k_max + 1)
     value = float(np.sum(term(ks)))
     truncated = float(pdtrc(k_max, m))
-    return SeriesResult(value=value, truncated_mass=truncated, k_min=2, k_max=k_max)
+    return SeriesResult(value=value, truncated_mass=truncated, k_max=k_max)

@@ -60,6 +60,36 @@ def test_validate_rejects_bad_sweep_axis(tmp_path, capsys):
         assert f"key '{key}'" in err
 
 
+def _axis(name, start, stop, step, unit=None):
+    text = f"[experiment]\nname = {name}\nsweep_start = {start}\nsweep_stop = {stop}\n"
+    return text + f"sweep_step = {step}\n" + (f"sweep_unit = {unit}\n" if unit else "")
+
+
+@pytest.mark.parametrize("text,key,line", [
+    ("[harvester]\npr_min = -1\n", "pr_min", 2),  # linear model: the sweeps' nonlinear twin
+    ("[harvester]\npr_min = 20\n", "pr_min", 2),  # above pr_max
+    ("[network]\nradius = inf\n", "radius", 2),
+    ("[network]\nlambda = inf\n", "lambda", 2),
+    ("[network]\nalpha = inf\n", "alpha", 2),
+    ("[network]\nlambda = 1e306\n", "lambda", 2),  # lambda pi R^2 overflows
+    ("[network]\np_t = 4000 dB\n", "p_t", 2),  # past the double range in W
+    (_axis("jsp-vs-xi", 0.5, 1.0, 0.25), "sweep_stop", 4),
+    (_axis("jsp-vs-radius", 0, 40, 20), "sweep_start", 3),
+    (_axis("jsp-vs-power", 0, 2, 1, "W"), "sweep_start", 3),
+    (_axis("jsp-vs-power", 3000, 4000, 1000), "sweep_stop", 4),
+], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
+        "mean_count_overflow", "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0",
+        "watt_axis_from_0", "db_axis_overflow"])
+def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):
+    cfg = write_cfg(tmp_path, text)
+    assert main(["validate", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert "config ok" not in out
+    assert f"{cfg}:{line}: key '{key}'" in err
+    assert main(["run", cfg, "--out", str(tmp_path / "out"), "--trials", "10"]) == 1
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
 @pytest.mark.parametrize("option,value,message", [
     ("--seed", "-1", "must be >= 0"),
     ("--trials", "0", "must be >= 1"),

@@ -44,3 +44,27 @@ def test_import_leaves_scipy_stats_unloaded(module):
     env = dict(os.environ, PYTHONPATH=str(Path(aoiharvest.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_perfbench_reference_script_imports():
+    """perfbench/make_reference.py imports ``select_regime``, passes ``regime=``
+    and ``QuadratureSpec(series_mass=)``: the package keeps them, unexported,
+    for that script. Imported without calling ``main``."""
+    root = Path(__file__).resolve().parents[1]
+    script = str(root / "perfbench" / "make_reference.py")
+    code = "\n".join([
+        "import importlib.util",
+        f"spec = importlib.util.spec_from_file_location('make_reference', {script!r})",
+        "ref = importlib.util.module_from_spec(spec)",
+        "spec.loader.exec_module(ref)",
+        "from aoiharvest.jsp import REGIMES, jsp_lower_bound, jsp_upper_bound, select_regime",
+        "from aoiharvest.model import NetworkConfig",
+        "assert ref.select_regime is select_regime",
+        "assert REGIMES == ('linear', 'case_a', 'case_b', 'case_c')",
+        "for regime in REGIMES:  # xi = 0 returns before any quadrature",
+        "    for bound in (jsp_lower_bound, jsp_upper_bound):",
+        "        assert bound(NetworkConfig(xi=0.0), regime=regime, spec=ref.TIGHT).value == 0.0",
+        "assert (ref.TIGHT.series_mass, ref.XI_TIGHT.series_mass) == (1.0 - 1e-12, 1.0 - 1e-10)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
