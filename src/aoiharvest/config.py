@@ -222,6 +222,8 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         aliases = {"density": "lambda", "sigma_bits": "sigma", "kind": "model"}
         field_name = str(exc).split()[0]
         key = aliases.get(field_name, field_name)
+        if key == "lambda" and key not in key_lines and "radius" in key_lines:
+            key = "radius"  # the mean count lambda * pi * R^2 is too large for the file's radius
         raise ConfigError(str(exc), path, key_lines.get(key), key) from exc
 
     exp = sections.get("experiment", {})

@@ -42,6 +42,50 @@ class SweepResult:
 _CSV_CHUNK_ROWS = 65_536
 
 
+def _cells(col: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of a 1-D chunk as the rows of a NUL-padded ASCII
+    byte matrix. A float64 chunk whose values are all integers below 1e16 in
+    magnitude, whose ``repr`` is ``'%d.0'``, is written by digit arithmetic;
+    any other chunk (NaN, inf, fractions, 1e16 and up, integer dtypes) by
+    ``repr`` itself."""
+    if col.dtype == np.float64 and np.all((col == np.trunc(col)) & (np.abs(col) < 1e16)):
+        q = np.abs(col)
+        n_digits = len(str(int(q.max())))
+        cells = np.zeros((len(col), n_digits + 3), np.uint8)  # sign, digits, ".0"
+        cells[np.signbit(col), 0] = ord("-")  # so -0.0 stays "-0.0"
+        for k in range(n_digits, 0, -1):  # right to left; a leading zero stays NUL
+            # Exact below 1e16: q / 10 < 1e15 rounds by at most 1/16, and a
+            # quotient that is not an integer lies at least 1/10 from one, so
+            # the floor is right; 10 * rest is an even integer below 1e16,
+            # which a double holds, so the digit is too.
+            rest = np.floor(q / 10.0)
+            digit = q - rest * 10.0 + ord("0")
+            if k < n_digits:
+                digit[q == 0] = 0
+            cells[:, k] = digit
+            q = rest
+        cells[:, -2], cells[:, -1] = ord("."), ord("0")
+        return cells
+    return np.array([repr(v) for v in col.tolist()], dtype="S").view(np.uint8).reshape(len(col), -1)
+
+
+def _csv_rows(chunk: list[np.ndarray]) -> str:
+    """CSV rows of equal-length column chunks: cells joined by ``,``, each row
+    ended by ``\\r\\n``."""
+    cells = [_cells(c) for c in chunk]
+    seps = [b","] * (len(cells) - 1) + [b"\r\n"]
+    rows = np.zeros((len(chunk[0]), sum(c.shape[1] + len(s) for c, s in zip(cells, seps))), np.uint8)
+    at = 0
+    for c, sep in zip(cells, seps):
+        rows[:, at:at + c.shape[1]] = c
+        at += c.shape[1]
+        for byte in sep:
+            rows[:, at] = byte
+            at += 1
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
+
+
 def write_csv(result: SweepResult, path: Path) -> None:
     """CSV as ``csv.writer`` would write it (repr of every float, ``\\r\\n`` line
     ends), formatted a bounded chunk of rows at a time so that long columns
@@ -50,8 +94,7 @@ def write_csv(result: SweepResult, path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([result.axis_name, *result.series.keys()])
         for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            cells = [map(repr, c[lo:lo + _CSV_CHUNK_ROWS].tolist()) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            fh.write(_csv_rows([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]))
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)

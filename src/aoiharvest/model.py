@@ -83,12 +83,18 @@ class NetworkConfig:
             (self.bandwidth > 0, "bandwidth must be > 0"),
             (self.e_th >= 0, "e_th must be >= 0"),
             (0 < self.p_a <= 1, "p_a must be in (0, 1]"),
-            (math.isfinite(self.density * math.pi * self.radius * self.radius),
-             "density * pi * radius^2 (the mean transmitter count) must be finite"),
         ]
         for ok, msg in checks:
             if not ok:
                 raise InvalidConfigError(msg)
+        # The count sampler draws up to the 1 - 1e-12 Poisson quantile of the
+        # mean count; SciPy's quantile is NaN above a mean of about 1.1e11.
+        from scipy.special import pdtrik  # on use: nothing else here needs SciPy
+
+        mean_count = self.density * math.pi * self.radius * self.radius
+        if not math.isfinite(pdtrik(1.0 - 1e-12, mean_count)):
+            raise InvalidConfigError(f"density * pi * radius^2 (the mean transmitter count, {mean_count:g}) "
+                                     "is too large: its Poisson quantile is not finite")
 
 
 def sir_threshold(cfg: NetworkConfig) -> float:

@@ -72,13 +72,17 @@ def _axis(name, start, stop, step, unit=None):
     ("[network]\nlambda = inf\n", "lambda", 2),
     ("[network]\nalpha = inf\n", "alpha", 2),
     ("[network]\nlambda = 1e306\n", "lambda", 2),  # lambda pi R^2 overflows
+    ("[network]\nradius = 1e160\n", "radius", 2),  # the same, with the default lambda
+    ("[network]\nlambda = 1e300\n", "lambda", 2),  # finite mean count, no finite count quantile
     ("[network]\np_t = 4000 dB\n", "p_t", 2),  # past the double range in W
     (_axis("jsp-vs-xi", 0.5, 1.0, 0.25), "sweep_stop", 4),
     (_axis("jsp-vs-radius", 0, 40, 20), "sweep_start", 3),
+    (_axis("jsp-vs-radius", 20, 1e7, 1e7 - 20), "sweep_stop", 4),  # mean count 9.4e11 at the end
     (_axis("jsp-vs-power", 0, 2, 1, "W"), "sweep_start", 3),
     (_axis("jsp-vs-power", 3000, 4000, 1000), "sweep_stop", 4),
 ], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
-        "mean_count_overflow", "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0",
+        "mean_count_overflow", "mean_count_overflow_on_radius", "mean_count_quantile_nan",
+        "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0", "radius_axis_mean_count",
         "watt_axis_from_0", "db_axis_overflow"])
 def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):
     cfg = write_cfg(tmp_path, text)

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 
 from aoiharvest import experiments
+from aoiharvest.aoi import QueueParams, simulate_queue
 from aoiharvest.cli import main
 from aoiharvest.config import SWEEPS
 from aoiharvest.experiments import SweepResult, write_csv
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 3.0, -7.0, 0.1, 1 / 3, 2.5e-8]
+# integer-valued floats up to just below 1e16, where repr is still '%d.0'
+BIG = [999999999999999.0, 1e15, 9999999999999998.0, -9999999999999998.0,
+       1234567890123456.0, 4503599627370497.0, 9007199254740994.0]
 
 
 def _reference_csv(result, path):
@@ -24,24 +28,47 @@ def _reference_csv(result, path):
             writer.writerow([fmt(x)] + [fmt(vals[i]) for vals in result.series.values()])
 
 
-def _columns(n_rows):
+def _columns(n_rows, chunk):
+    """Columns whose chunks of ``chunk`` rows mix integral and other values."""
     axis = [float(i) for i in range(1, n_rows + 1)]
-    a = [SPECIAL[i % len(SPECIAL)] for i in range(n_rows)]
-    b = [SPECIAL[(5 * i + 3) % len(SPECIAL)] for i in range(n_rows)]
-    return axis, {"a": a, "b": b}
+    return axis, {
+        "a": [SPECIAL[i % len(SPECIAL)] for i in range(n_rows)],
+        "b": [SPECIAL[(5 * i + 3) % len(SPECIAL)] for i in range(n_rows)],
+        "signed": [(-1.0) ** i * i * i for i in range(n_rows)],
+        "neg_zero": [-0.0 if i % 5 == 2 else float(i) for i in range(n_rows)],
+        # 1e16 (repr '1e+16') in the second chunk only
+        "big": [1e16 if i == chunk + 3 else BIG[i % len(BIG)] for i in range(n_rows)],
+        # integral in even chunks, fractional in odd ones
+        "alternating": [i + 0.5 * ((i // chunk) % 2) for i in range(n_rows)],
+        "count": [i - 3 for i in range(n_rows)],  # an int64 column: repr '3', not '3.0'
+    }
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 7, 50])
 @pytest.mark.parametrize("as_array", [False, True])
 def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, n_rows, as_array):
     monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 7)  # rows straddle chunk boundaries
-    axis, series = _columns(n_rows)
+    axis, series = _columns(n_rows, 7)
     ref = SweepResult("x", "slot", axis, series, {"k": 1})
     if as_array:
         axis, series = np.asarray(axis), {k: np.asarray(v) for k, v in series.items()}
     _reference_csv(ref, tmp_path / "ref.csv")
     write_csv(SweepResult("x", "slot", axis, series, {"k": 1}), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
+def test_queue_path_csv_matches_csv_writer(tmp_path, discipline):
+    n_slots = 200_000
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[queue]\nmu = 0.3\np_a = 0.5\nn_slots = {n_slots}\ndiscipline = {discipline}\n",
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--experiment", "queue-path", "--out", str(tmp_path)]) == 0
+    trace, _ = simulate_queue(QueueParams(p_a=0.5, mu=0.3, discipline=discipline, n_slots=n_slots, seed=1))
+    ref = SweepResult("queue-path", "slot", [float(i) for i in range(1, n_slots + 1)],
+                      {"aoi": trace.aoi_path.astype(float).tolist()}, {})
+    _reference_csv(ref, tmp_path / "ref.csv")
+    assert (tmp_path / "queue-path.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_queue_path_plot_writes_svg(tmp_path):
