@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .aoi import DISCIPLINES
 from .model import HarvesterModel, InvalidConfigError, NetworkConfig, db_to_watt
 
 __all__ = ["ConfigError", "SweepAxis", "QueueSettings", "ExperimentSpec",
@@ -72,6 +73,9 @@ EXPERIMENT_NAMES = tuple(SWEEPS)
 
 # Units a sweep axis may give, per field (matched without regard to case).
 _AXIS_UNITS = {"p_t": ("dB", "W"), "radius": ("m",), "xi": ("",)}
+# Each axis point costs at least one bound integral; every default axis has
+# at most 19 points.
+_MAX_AXIS_POINTS = 10_000
 
 
 def _axis_conversion(field: str, unit: str):
@@ -222,17 +226,20 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
         aliases = {"density": "lambda", "sigma_bits": "sigma", "kind": "model"}
         field_name = str(exc).split()[0]
         key = aliases.get(field_name, field_name)
-        if key == "lambda" and key not in key_lines and "radius" in key_lines:
-            key = "radius"  # the mean count lambda * pi * R^2 is too large for the file's radius
+        # A limit between two keys (the mean count lambda * pi * R^2, or
+        # pr_min < pr_max) is reported on the one the file sets.
+        other = {"lambda": "radius", "pr_min": "pr_max"}.get(key)
+        if key not in key_lines and other in key_lines:
+            key = other
         raise ConfigError(str(exc), path, key_lines.get(key), key) from exc
 
     exp = sections.get("experiment", {})
     exp_lines = {k: ln for k, (_, ln) in exp.items()}
     name = _take(exp, "name", path, ExperimentSpec.name, check=(
         EXPERIMENT_NAMES.__contains__, f"unknown experiment {{!r}}; valid: {', '.join(EXPERIMENT_NAMES)}"))
-    trials = _take(exp, "trials", path, 10_000, int, _AT_LEAST_ONE)
-    seed = _take(exp, "seed", path, 1, int, _NON_NEGATIVE)
-    output_dir = Path(_take(exp, "output_dir", path, "results"))
+    trials = _take(exp, "trials", path, ExperimentSpec.trials, int, _AT_LEAST_ONE)
+    seed = _take(exp, "seed", path, ExperimentSpec.seed, int, _NON_NEGATIVE)
+    output_dir = Path(_take(exp, "output_dir", path, ExperimentSpec.output_dir))
     start = _take(exp, "sweep_start", path, None, float, _FINITE)
     stop = _take(exp, "sweep_stop", path, None, float, (  # an empty axis is an error too
         lambda v: math.isfinite(v) and (start is None or v >= start),
@@ -247,6 +254,9 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
                               "(sweep_unit needs them too)", path)
         if SWEEPS[name] is None:
             raise ConfigError(f"{name} has no sweep axis", path, exp_lines["sweep_start"])
+        if (stop - start) / step + 1e-9 >= _MAX_AXIS_POINTS:  # SweepAxis._count() > the limit
+            raise ConfigError(f"the axis would have more than {_MAX_AXIS_POINTS} points",
+                              path, exp_lines["sweep_step"], "sweep_step")
         axis_field, default = SWEEPS[name]
         units = _AXIS_UNITS[axis_field]
         if unit is not None and unit.lower() not in (u.lower() for u in units):
@@ -267,9 +277,9 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     queue = sections.get("queue", {})
     q_mu = _take(queue, "mu", path, None, float, _PROBABILITY)
     q_pa = _take(queue, "p_a", path, None, float, _PROBABILITY)
-    q_slots = _take(queue, "n_slots", path, 1000, int, _AT_LEAST_ONE)
-    q_disc = _take(queue, "discipline", path, "non_preemptive", check=(
-        ("non_preemptive", "preemptive").__contains__, "must be non_preemptive or preemptive, got {!r}"))
+    q_slots = _take(queue, "n_slots", path, QueueSettings.n_slots, int, _AT_LEAST_ONE)
+    q_disc = _take(queue, "discipline", path, QueueSettings.discipline, check=(
+        DISCIPLINES.__contains__, f"must be {' or '.join(DISCIPLINES)}, got {{!r}}"))
     _reject_unknown(queue, "queue", path)
 
     spec = ExperimentSpec(

@@ -1,12 +1,12 @@
 """Numerical machinery shared by the bound evaluators.
 
-Three pieces: closed incomplete-gamma forms for the Erlang integrals
-int z^{k-1}/(k-1)! e^{-c z} dz over [0, a] and [a, inf), one adaptive
-Gauss-Kronrod integrator for scalar- or vector-valued integrands (the bound
-evaluators drive their inner and outer distance integrals through it), and a
-truncated Poisson count series for sums with no closed form. Gamma/factorial
-arithmetic stays in log space; shapes reach several hundred at the largest
-disc radii.
+Three pieces: the Erlang integrals int z^{k-1}/(k-1)! e^{-c z} dz over
+[0, a] and [a, inf), both written once in ``_erlang`` as c^-k times a
+regularized incomplete gamma, with one log-space Poisson-tail sum where that
+underflows and at c = 0; one adaptive Gauss-Kronrod integrator for scalar- or
+vector-valued integrands (the bound evaluators drive their inner and outer
+distance integrals through it); and a truncated Poisson count series for sums
+with no closed form. Shapes reach several hundred at the largest disc radii.
 
 No output path calls the Erlang forms or ``poisson_series``. Only acceptance
 criterion 7 (tests/test_acceptance.py) uses both, and the reference bounds in
@@ -42,8 +42,9 @@ class DivergentIntegralError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of the adaptive integrator; ``series_mass`` is only the
-    default retained Poisson mass of ``poisson_series``."""
+    """Tolerances of the adaptive integrator. No code reads an instance's
+    ``series_mass``: ``poisson_series`` takes only the class default, and the
+    field stays because perfbench/make_reference.py passes it."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
@@ -74,54 +75,50 @@ class SeriesResult:
     k_max: int
 
 
-# Where regularized gamma values underflow (or lose precision) we switch to
-# explicit log-space series: P(k, x) = x^k e^{-x}/k! * sum_j prod_i x/(k+i)
-# for x below k, and, for integer k, the exact finite sum
-# Q(k, x) = x^{k-1} e^{-x}/(k-1)! * sum_{j<k} prod_i (k-1-i)/x for x above k.
+# Where the regularized gamma value underflows (or loses precision), and at
+# c = 0, the integral is summed in log space as a Poisson(x) tail, x = c a,
+# from its leading term n = k (lower) or n = k - 1 (upper):
+#   c^-k P(k, x) = a^k e^{-x}/k! * sum_{j>=0} prod_{1<=i<=j} x/(k+i),
+#   c^-k Q(k, x) = a^{k-1} e^{-x}/((k-1)! c) * sum_{j<k} prod_{1<=i<=j} (k-i)/x,
+# the second a finite sum for integer k. At x = 0 the first is a^k/k!.
 _TINY = 1e-280
 
 
-def _log_p_lower_series(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log P(k, x) for x well below k, to full double precision."""
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for j in range(1, 500):
-        term = term * x / (k + j)
-        total += term
-        if np.all(term <= total * 1e-18):
-            break
-    with np.errstate(divide="ignore"):
-        logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-    return k * logx - x - gammaln(k + 1.0) + np.log(total)
-
-
-def _log_q_upper_series(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log Q(k, x) for integer k and x well above k: the exact finite sum."""
-    k = np.asarray(k, dtype=float)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.ones_like(x)
-        term = np.ones_like(x)
-        j_max = int(np.max(k)) - 1
-        for j in range(j_max):
-            term = term * np.maximum(k - 1.0 - j, 0.0) / x
-            total += term
-            if np.all(term <= total * 1e-18):
-                break
-        logx = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-        return (k - 1.0) * logx - x - gammaln(k) + np.log(total)
-
-
-def _erlang_args(k, c, a) -> list[np.ndarray]:
-    """Broadcast (k, c, a) to float arrays; NaN anywhere and non-integer k raise."""
-    k_in, c_in, a_in = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (k, c, a)))
-    if np.isnan(c_in).any() or np.isnan(a_in).any():
+def _erlang(k, c, a, upper: bool):
+    """c^-k times the regularized lower (P) or upper (Q) incomplete gamma of
+    (k, c a), elementwise over broadcast inputs; a float for scalar input."""
+    k, c, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k, c, a)))
+    if np.isnan(c).any() or np.isnan(a).any():
         raise ValueError("rate c and limit a must not be NaN")
-    if np.any(k_in < 1) or np.any(k_in != np.floor(k_in)):
+    if np.any(k < 1) or np.any(k != np.floor(k)):
         raise ValueError("shape k must be an integer >= 1")
-    return [k_in, c_in, a_in]
+    if upper and np.any(c <= 0):
+        raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
+    if np.any(c < 0):
+        raise ValueError("rate c must be >= 0")
+    if np.any(a < 0):
+        raise ValueError(f"{'lower' if upper else 'upper'} limit a must be >= 0")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 0 * inf is 0 here: the c = 0 lead below takes a^k from a, and a = 0 is an empty range
+        x = np.where((c == 0) | (a == 0), 0.0, c * a)
+        reg = gammaincc(k, x) if upper else gammainc(k, x)
+        logv = np.asarray(np.log(reg) - k * np.log(c))
+        tail = reg <= _TINY
+        if np.any(tail):
+            k, c, a, x = k[tail], c[tail], a[tail], x[tail]
+            total = np.ones_like(x)
+            term = np.ones_like(x)
+            for j in range(1, int(np.max(k)) if upper else 500):
+                term = term * (np.maximum(k - j, 0.0) / x if upper else x / (k + j))
+                total += term
+                if np.all(term <= total * 1e-18):
+                    break
+            n = k - upper
+            lead = n * np.log(a) - x - gammaln(n + 1.0)
+            logv[tail] = (lead - np.log(c) if upper else lead) + np.log(total)
+    out = np.exp(logv)
+    return float(out) if out.ndim == 0 else out
 
 
 def erlang_lower(k, c, a):
@@ -131,62 +128,12 @@ def erlang_lower(k, c, a):
     a^k/k!. Every caller integrates a decaying or flat integrand, so a
     negative rate raises.
     """
-    k_in, c_in, a_in = _erlang_args(k, c, a)
-    if np.any(c_in < 0):
-        raise ValueError("rate c must be >= 0")
-    if np.any(a_in < 0):
-        raise ValueError("upper limit a must be >= 0")
-
-    out = np.empty(k_in.shape, dtype=float)
-
-    zero = c_in == 0
-    if np.any(zero):
-        with np.errstate(divide="ignore"):
-            logv = k_in * np.log(a_in) - gammaln(k_in + 1.0)
-        out[zero] = np.exp(logv[zero])
-
-    pos = c_in > 0
-    if np.any(pos):
-        kk, cc, aa = k_in[pos], c_in[pos], a_in[pos]
-        x = cc * aa
-        p = gammainc(kk, x)
-        logp = np.full(p.shape, -np.inf)
-        direct = p > _TINY
-        logp[direct] = np.log(p[direct])
-        tail = ~direct & (x > 0)
-        if np.any(tail):
-            logp[tail] = _log_p_lower_series(kk[tail], x[tail])
-        with np.errstate(invalid="ignore"):
-            logv = -kk * np.log(cc) + logp
-        out[pos] = np.where(x == 0, 0.0, np.exp(logv))
-
-    return float(out) if out.ndim == 0 else out
+    return _erlang(k, c, a, upper=False)
 
 
 def erlang_upper(k, c, a):
     """int_a^inf z^{k-1}/(k-1)! * e^{-c z} dz; requires c > 0 to converge."""
-    k_in, c_in, a_in = _erlang_args(k, c, a)
-    if np.any(c_in <= 0):
-        raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
-    if np.any(a_in < 0):
-        raise ValueError("lower limit a must be >= 0")
-
-    x = c_in * a_in
-    q = gammaincc(k_in, x)
-    logq = np.full(q.shape if q.ndim else (1,), -np.inf)
-    x_b = np.atleast_1d(x)
-    q_b = np.atleast_1d(q)
-    k_b = np.atleast_1d(k_in)
-    direct = q_b > _TINY
-    logq[direct] = np.log(q_b[direct])
-    tail = ~direct & (x_b > 0)
-    if np.any(tail):
-        logq[tail] = _log_q_upper_series(k_b[tail], x_b[tail])
-    with np.errstate(invalid="ignore"):
-        logv = -k_b * np.log(np.atleast_1d(c_in)) + logq
-    out = np.exp(logv).reshape(np.shape(x))
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    return _erlang(k, c, a, upper=True)
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].

@@ -80,10 +80,12 @@ def _axis(name, start, stop, step, unit=None):
     (_axis("jsp-vs-radius", 20, 1e7, 1e7 - 20), "sweep_stop", 4),  # mean count 9.4e11 at the end
     (_axis("jsp-vs-power", 0, 2, 1, "W"), "sweep_start", 3),
     (_axis("jsp-vs-power", 3000, 4000, 1000), "sweep_stop", 4),
+    ("[harvester]\npr_max = 0.01\n", "pr_max", 2),  # below the default pr_min
+    (_axis("jsp-vs-power", 0, 20, 1e-12), "sweep_step", 5),  # 2e13 points
 ], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
         "mean_count_overflow", "mean_count_overflow_on_radius", "mean_count_quantile_nan",
         "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0", "radius_axis_mean_count",
-        "watt_axis_from_0", "db_axis_overflow"])
+        "watt_axis_from_0", "db_axis_overflow", "pr_max_below_default_pr_min", "axis_too_long"])
 def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):
     cfg = write_cfg(tmp_path, text)
     assert main(["validate", cfg]) == 1

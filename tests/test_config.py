@@ -159,6 +159,16 @@ def test_one_point_sweep_axis_accepted(tmp_path):
     assert spec.sweep.values() == [200.0]
 
 
+def test_sweep_axis_point_limit(tmp_path):
+    _, spec = parse_config(_sweep_cfg(tmp_path, "jsp-vs-radius", start="1", stop="10000", step="1"))
+    assert len(spec.sweep.values()) == 10_000
+    for stop, step in [("10001", "1"), ("1e300", "1e-300")]:  # the second count overflows a float
+        path = _sweep_cfg(tmp_path, "jsp-vs-radius", start="1", stop=stop, step=step)
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert f"{path}:5: key 'sweep_step': the axis would have more than 10000 points" in str(err.value)
+
+
 def test_sweep_keys_need_an_axis(tmp_path):
     path = write(tmp_path, "[experiment]\nsweep_unit = W\n")
     with pytest.raises(ConfigError) as err:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc, gammaincc
 
 from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig
@@ -34,6 +35,8 @@ def test_erlang_lower_basic_values():
     assert erlang_lower(1, 1.0, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
     assert erlang_lower(2, 0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
     assert erlang_lower(3, 2.0, 0.0) == 0.0
+    assert erlang_lower(3, math.inf, 0.0) == 0.0  # an empty range, whatever the rate
+    assert erlang_lower(3, 0.0, math.inf) == math.inf
 
 
 def test_erlang_lower_input_validation():
@@ -56,6 +59,7 @@ def test_erlang_nan_inputs_rejected(k, c, a):
 
 def test_erlang_upper_basic_values():
     assert erlang_upper(1, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
+    assert erlang_upper(3, math.inf, 0.0) == 0.0
     with pytest.raises(DivergentIntegralError):
         erlang_upper(1, 0.0, 1.0)
     with pytest.raises(DivergentIntegralError):
@@ -87,6 +91,42 @@ def test_erlang_lower_negative_rate():
     with pytest.raises(ValueError, match="rate c must be >= 0"):
         erlang_lower(2, np.array([1.0, -1e-300]), 1.0)
     assert erlang_lower(2, -0.0, 2.0) == pytest.approx(2.0, rel=1e-12)
+
+
+def _poisson_log_sum(x, js):
+    """log sum_j e^{-x} x^j/j! over js, by log-sum-exp of math.lgamma terms."""
+    logs = [j * math.log(x) - x - math.lgamma(j + 1) for j in js]
+    top = max(logs)
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+@pytest.mark.parametrize("k,c,a,upper,branch", [
+    (5, 0.7, 3.0, False, "direct"),
+    (300, 1.0, 300.0, False, "direct"),
+    (300, 1e-2, 100.0, False, "tail"),    # x = 1: P(300, 1) ~ 1e-615
+    (600, 5e-3, 200.0, False, "tail"),    # x = 1
+    (600, 0.05, 200.0, False, "tail"),    # x = 10
+    (1, 0.0, 3.0, False, "c0"),
+    (7, 0.0, 2.5, False, "c0"),
+    (300, 0.0, 50.0, False, "c0"),
+    (600, 0.0, 400.0, False, "c0"),
+    (5, 0.7, 3.0, True, "direct"),
+    (1, 1.0, 700.0, True, "tail"),        # Q(1, 700) = e^-700
+    (300, 0.02, 1e5, True, "tail"),       # x = 2000: Q ~ 1e-493
+    (600, 0.1, 3e4, True, "tail"),        # x = 3000: Q ~ 1e-625
+])
+def test_erlang_tails_match_poisson_log_sum_exp(k, c, a, upper, branch):
+    # c^-k P(k, x) and c^-k Q(k, x) with x = c a are the Poisson(x) tails
+    # sum_{j>=k} and sum_{j<k} of e^{-x} x^j/j!; at c = 0 the lower one is a^k/k!.
+    x = c * a
+    if branch == "c0":
+        ref = math.exp(k * math.log(a) - math.lgamma(k + 1))
+    else:
+        assert ((gammaincc if upper else gammainc)(k, x) <= 1e-280) == (branch == "tail")
+        js = range(k) if upper else range(k, int(max(k, x) + 40 * math.sqrt(x) + 100))
+        ref = math.exp(_poisson_log_sum(x, js) - k * math.log(c))
+    assert 0 < ref < math.inf
+    assert (erlang_upper if upper else erlang_lower)(k, c, a) == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_integrate_adaptive_known_integrals():
