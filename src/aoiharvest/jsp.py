@@ -8,10 +8,11 @@ analytic upper bound (the reverse placement). Each bound integrates its
 placement construction exactly: given the serving and farthest distances
 (d_1, d_K), the K - 2 points between them are Poisson with mean
 mu = lambda pi (d_K^2 - d_1^2), and the K - 1 interferer gains sum to an
-Erlang variable. The sum over the count then closes into one noncentral
-chi-square or modified Bessel function per node (Johnson, Kotz and
-Balakrishnan, Continuous Univariate Distributions vol. 2, ch. 29;
-Abramowitz and Stegun 9.6.10), under one or two adaptive distance integrals.
+Erlang variable. The sum over the count then closes into noncentral
+chi-square or modified Bessel functions, at most one per term of a node
+(Johnson, Kotz and Balakrishnan, Continuous Univariate Distributions vol. 2,
+ch. 29; Abramowitz and Stegun 9.6.10), under one or two adaptive distance
+integrals; a term too small to change its node's sum is not evaluated.
 
 Sweep points share work through two bounded memo caches: one Monte Carlo draw
 per geometry, and one evaluation per bound integral.
@@ -143,7 +144,7 @@ def _near_quantiles(ppp: DiscPpp, qs) -> list[float]:
 _SPLIT_QS = (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999)
 
 
-def _lower_gamma_sum(mu, c, z, log_k):
+def _energy_term(mu, c, z, log_k):
     """e^{log_k} sum_{n>=0} mu^n/n! erlang_lower(n + 1, c, z), elementwise, c >= 0.
 
     Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c). Below c z = 1e-12 it
@@ -163,20 +164,85 @@ def _lower_gamma_sum(mu, c, z, log_k):
     return out
 
 
-def _upper_gamma_sum(mu, c, z, log_k):
+def _sir_term(mu, c, z, log_k):
     """e^{log_k} sum_{n>=0} mu^n/n! erlang_upper(n + 1, c, z), elementwise, c > 0.
 
-    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c). Where the CDF is below
-    1/2 the survival function is 1 - CDF to full relative precision; the direct
-    survival function is called only where it is below 1/2, because it raises
-    at tiny x once nc nears 700.
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c), with one Boost call
+    per node where it can. At x >= mean + 1.1 sd (mean 2 + nc, variance
+    4 (1 + nc)) Cantelli's inequality puts the survival function below 1/2.21,
+    so it is called alone. Elsewhere 1 - CDF is taken, which has full relative
+    precision where it is at least 1/2; the direct survival function is called
+    only where it is not, because it raises at tiny x once nc nears 700.
     """
     a = mu / c
     x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
-    sf = 1.0 - chndtr(x, 2.0, nc)
-    direct = sf < 0.5
+    sf = np.empty(x.shape)
+    direct = x >= 2.0 + nc + 2.2 * np.sqrt(1.0 + nc)
     sf[direct] = _ncx2_sf(x[direct], 2.0, nc[direct])
+    x, nc = x[~direct], nc[~direct]
+    band = 1.0 - chndtr(x, 2.0, nc)
+    low = band < 0.5
+    band[low] = _ncx2_sf(x[low], 2.0, nc[low])
+    sf[~direct] = band
     return np.exp(log_k + a) / c * sf
+
+
+# Each bound integrand is an energy term plus an SIR term. Where one of them is
+# below 2^-56 of the other it cannot change the sum: half an ulp of v exceeds
+# 2^-54 v, and the factor of 4 left over covers Boost's error. A term below
+# e^-748 rounds to zero on its own, whatever the subnormal steps on its way.
+_LOG_SKIP = 56.0 * math.log(2.0)
+_LOG_UNDERFLOW = -748.0
+
+
+def _log_term_bounds(mu, z, c_e, log_k_e, c_s, log_k_s):
+    """Upper bounds on the logs of ``_energy_term(mu, c_e, z, log_k_e)`` and
+    ``_sir_term(mu, c_s, z, log_k_s)``.
+
+    The log of each term is log_k + mu/c - log c plus the log of a noncentral
+    chi-square probability at x = 2cz with nc = 2mu/c. The Chernoff bound
+    (Chernoff 1952) at its optimum, u = x/(1 + q) with q = sqrt(1 + nc x) and
+    s = (1 - 1/u)/2, is -s x + nc s u + log u; it bounds the CDF where u < 1
+    and the survival function where u > 1. Added to the prefactor it reads
+    log_k + 2 mu z/(1 + q) + (1 + q)/2 - c z + log(2z/(1 + q)), with
+    nc x = 4 mu z, which stays finite at c = 0. The probability is capped at 1.
+    """
+    q = np.sqrt(1.0 + 4.0 * mu * z)
+    w = 2.0 * z / (1.0 + q)  # u / c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        core = mu * w + 0.5 * (1.0 + q) + np.log(w)
+        bounds = []
+        for c, log_k, cdf in ((c_e, log_k_e, True), (c_s, log_k_s, False)):
+            prefactor = log_k + mu / c - np.log(c)
+            u = c * w
+            chernoff = np.where(u < 1.0 if cdf else u > 1.0, log_k + core - c * z, np.inf)
+            bounds.append(np.minimum(chernoff, prefactor))
+    return bounds
+
+
+def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
+    """``_energy_term(mu, c_e, z, log_k_e) + _sir_term(mu, c_s, z, log_k_s)``
+    bit for bit, without evaluating a term that cannot change the sum.
+
+    The term with the larger log bound goes first, where that bound reaches
+    e^-748; the other is added only where its bound reaches both e^-748 and
+    2^-56 of the first term's value.
+    """
+    mu, z, c_e, log_k_e, c_s, log_k_s = np.broadcast_arrays(mu, z, c_e, log_k_e, c_s, log_k_s)
+    bound_e, bound_s = _log_term_bounds(mu, z, c_e, log_k_e, c_s, log_k_s)
+    out = np.zeros(mu.shape)
+
+    def add(term, c, log_k, where):
+        out[where] += term(mu[where], c[where], z[where], log_k[where])
+
+    energy_first = bound_e >= bound_s
+    add(_energy_term, c_e, log_k_e, energy_first & (bound_e >= _LOG_UNDERFLOW))
+    add(_sir_term, c_s, log_k_s, ~energy_first & (bound_s >= _LOG_UNDERFLOW))
+    with np.errstate(divide="ignore"):
+        floor = np.maximum(np.log(out) - _LOG_SKIP, _LOG_UNDERFLOW)
+    add(_energy_term, c_e, log_k_e, ~energy_first & (bound_e >= floor))
+    add(_sir_term, c_s, log_k_s, energy_first & (bound_s >= floor))
+    return out
 
 
 def _i0_minus_one(u, log_k):
@@ -226,16 +292,14 @@ class _BoundProblem:
         mu, log_c = self._joint(d1, dk)
         z = self.scale / (beta * d1**-a + dk**-a)
         c1 = -np.expm1(a * np.log(d1 / dk))  # 1 - (d1/dk)^alpha, accurate near the diagonal
-        return (_lower_gamma_sum(mu, c1, z, log_c - self.scale * d1**a)
-                + _upper_gamma_sum(mu, beta + 1.0, z, log_c))
+        return _term_sum(mu, z, c1, log_c - self.scale * d1**a, beta + 1.0, log_c)
 
     def upper(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
         """Best placement: energy with interferers at d_1, SIR with them at d_K."""
         beta, a = self.beta, self.alpha
         mu, log_c = self._joint(d1, dk)
         z = self.scale / (beta * dk**-a + d1**-a)
-        return (_lower_gamma_sum(mu, 0.0, z, log_c - self.scale * d1**a)
-                + _upper_gamma_sum(mu, beta * (d1 / dk) ** a + 1.0, z, log_c))
+        return _term_sum(mu, z, 0.0, log_c - self.scale * d1**a, beta * (d1 / dk) ** a + 1.0, log_c)
 
     def saturated(self, r: np.ndarray) -> np.ndarray:
         """Saturated-regime lower bound, everything referenced to the serving distance.
@@ -262,7 +326,8 @@ def _evaluate_2d(problem: _BoundProblem, integrand, spec: QuadratureSpec) -> tup
 
     Substituting dk = d1 + u (R - d1) puts every inner integral on u in [0, 1],
     so one vector-valued adaptive drive serves all serving distances of an
-    outer panel.
+    outer panel. The outer integrator hands over the 15 nodes of several
+    panels at once; each panel keeps its own inner drive.
     """
     ppp, radius = problem.ppp, problem.radius
     inner_spec = replace(spec, rel_tol=max(spec.rel_tol / 3.0, 1e-12),
@@ -270,7 +335,7 @@ def _evaluate_2d(problem: _BoundProblem, integrand, spec: QuadratureSpec) -> tup
     inner_err_sum = 0.0
     inner_calls = 0
 
-    def outer_f(d1s: np.ndarray) -> np.ndarray:
+    def inner(d1s: np.ndarray) -> np.ndarray:
         nonlocal inner_err_sum, inner_calls
         span = radius - d1s
 
@@ -278,10 +343,13 @@ def _evaluate_2d(problem: _BoundProblem, integrand, spec: QuadratureSpec) -> tup
             dk = d1s[None, :] + u[:, None] * span[None, :]
             return integrand(np.broadcast_to(d1s, dk.shape), dk) * span[None, :]
 
-        inner = integrate_adaptive(fu, 0.0, 1.0, inner_spec, points=_INNER_U_SPLITS)
-        inner_err_sum += float(inner.error.sum())
-        inner_calls += inner.error.size
-        return inner.value
+        res = integrate_adaptive(fu, 0.0, 1.0, inner_spec, points=_INNER_U_SPLITS)
+        inner_err_sum += float(res.error.sum())
+        inner_calls += res.error.size
+        return res.value
+
+    def outer_f(d1s: np.ndarray) -> np.ndarray:
+        return np.concatenate([inner(panel) for panel in d1s.reshape(-1, 15)])
 
     outer = integrate_adaptive(outer_f, 0.0, radius, spec, points=_near_quantiles(ppp, _SPLIT_QS))
     # The outer integrand carries the inner estimates' noise; fold in its

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, pdtr, pdtrc
@@ -104,7 +104,7 @@ def _erlang(k, c, a, upper: bool):
         x = np.where((c == 0) | (a == 0), 0.0, c * a)
         reg = gammaincc(k, x) if upper else gammainc(k, x)
         logv = np.asarray(np.log(reg) - k * np.log(c))
-        tail = reg <= _TINY
+        tail = (reg <= _TINY) & (x < np.inf)  # at x = inf the regularized value is exact
         if np.any(tail):
             k, c, a, x = k[tail], c[tail], a[tail], x[tail]
             total = np.ones_like(x)
@@ -158,19 +158,25 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, lo: float, hi: float):
-    """One Kronrod panel: value and error estimate per component of f."""
+def _gk15(f, edges: list[tuple[float, float]]) -> list[tuple]:
+    """Kronrod panels on the given (lo, hi) edges, all nodes in one call of f:
+    value and error estimate per component of f, one pair per panel."""
+    lo, hi = np.array(edges).T
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    fx = np.asarray(f(mid + half * _XK), dtype=float)  # (15,) or (15, m)
-    vk = half * np.dot(_WK, fx)
-    vg = half * np.dot(_WG, fx[1::2])
-    # Standard QUADPACK-style error sharpening of |K15 - G7|.
-    err = np.abs(vk - vg)
-    scale = half * np.dot(_WK, np.abs(fx - fx.mean(axis=0)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sharp = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
-    return vk, np.where((scale > 0) & (err > 0), sharp, err)
+    fx = np.asarray(f((mid[:, None] + half[:, None] * _XK).ravel()), dtype=float)  # (15 p,) or (15 p, m)
+    out = []
+    for i, h in enumerate(half):
+        fp = fx[15 * i:15 * (i + 1)]
+        vk = h * np.dot(_WK, fp)
+        vg = h * np.dot(_WG, fp[1::2])
+        # Standard QUADPACK-style error sharpening of |K15 - G7|.
+        err = np.abs(vk - vg)
+        scale = h * np.dot(_WK, np.abs(fp - fp.mean(axis=0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sharp = scale * np.minimum(1.0, (200.0 * err / scale) ** 1.5)
+        out.append((vk, np.where((scale > 0) & (err > 0), sharp, err)))
+    return out
 
 
 def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = None,
@@ -180,16 +186,21 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     ``f`` must accept an ndarray of n nodes and return n values, or an (n, m)
     array for m integrands at once; then value and error are length-m arrays,
     and the panel to split and the stopping rule follow the summed error.
-    ``points`` seeds the initial subdivision (useful for sharply peaked
-    integrands). The result carries the achieved error estimate; if
+    Each call carries the 15 nodes of several panels back to back (all initial
+    panels, then both halves of each split), so ``f`` must act elementwise
+    across them. ``points`` seeds the initial subdivision (useful for sharply
+    peaked integrands). The result carries the achieved error estimate; if
     ``max_subdivisions`` is exhausted the best estimate is returned flagged
-    non-converged.
+    non-converged. For lo > hi the value is minus that over [hi, lo].
     """
     spec = spec or QuadratureSpec()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("finite limits required")
     if hi == lo:
         return IntegralResult(0.0, 0.0, True, 0)
+    if lo > hi:
+        res = integrate_adaptive(f, hi, lo, spec, points)
+        return replace(res, value=-res.value)
 
     cuts = [lo, hi]
     if points is not None:
@@ -203,8 +214,8 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     total_v = 0.0
     total_e = 0.0
     n_panels = 0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        v, e = _gk15(f, a, b)
+    edges = list(zip(cuts[:-1], cuts[1:]))
+    for (a, b), (v, e) in zip(edges, _gk15(f, edges)):
         heapq.heappush(heap, (-float(np.sum(e)), a, b, v, e))
         total_v += v
         total_e += e
@@ -213,8 +224,7 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     while n_panels < spec.max_subdivisions and not done():
         _, a, b, v, e = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, m)
-        v2, e2 = _gk15(f, m, b)
+        (v1, e1), (v2, e2) = _gk15(f, [(a, m), (m, b)])
         total_v += v1 + v2 - v
         total_e += e1 + e2 - e
         heapq.heappush(heap, (-float(np.sum(e1)), a, m, v1, e1))

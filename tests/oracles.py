@@ -12,6 +12,10 @@ one slot at a time, so the vectorised simulator must match it bit for bit.
 ``sample_batch_lexsort`` draws exactly what ``geometry.sample_batch`` draws
 and orders each trial's distances with one global (trial, distance) lexsort,
 so the padded row sort of the sampler must match it bit for bit.
+``gamma_sum_integrand`` evaluates the closed-form bound integrands the plain
+way, both noncentral chi-square terms on every node, through the two sum
+helpers the library used before it learned to skip a term that cannot change
+the sum; the library's integrands must match it bit for bit.
 The serving and farthest distance densities (in the form the bound integrals
 use), their normalized laws and the truncated count mean are references for
 the sampler's distribution fits.
@@ -23,6 +27,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import chndtr, ive
+from scipy.special._ufuncs import _ncx2_sf
 
 from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
 from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count
@@ -239,6 +245,58 @@ def count_series_integrand(cfg: NetworkConfig, kind: str, d1, dk=None) -> np.nda
             inner = energy + erlang_upper(k - 1, c_sir, z)
             total += pmf_count(k, ppp) / ppp.prob_at_least_two * geom * inner
     return total
+
+
+def _lower_gamma_sum(mu, c, z, log_k):
+    """e^{log_k} sum_{n>=0} mu^n/n! erlang_lower(n + 1, c, z), elementwise, c >= 0.
+
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c). Below c z = 1e-12 it
+    takes the c -> 0 limit sum mu^n z^{n+1}/(n!(n+1)!) = sqrt(z/mu) I_1(2 sqrt(mu z)),
+    whose relative distance to the exact sum is about c z.
+    """
+    mu, c, z, log_k = np.broadcast_arrays(mu, c, z, log_k)
+    out = np.empty(z.shape)
+    lim = c * z < 1e-12
+    y = 2.0 * np.sqrt(mu[lim] * z[lim])
+    tiny = y < 1e-100  # 2 I_1(y)/y -> 1
+    i1_ratio = np.where(tiny, 1.0, 2.0 * ive(1, y) / np.where(tiny, 1.0, y))
+    out[lim] = np.exp(log_k[lim] + y) * z[lim] * i1_ratio
+    gam = ~lim
+    a = mu[gam] / c[gam]
+    out[gam] = np.exp(log_k[gam] + a) / c[gam] * chndtr(2.0 * c[gam] * z[gam], 2.0, 2.0 * a)
+    return out
+
+
+def _upper_gamma_sum(mu, c, z, log_k):
+    """e^{log_k} sum_{n>=0} mu^n/n! erlang_upper(n + 1, c, z), elementwise, c > 0.
+
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c). Where the CDF is below
+    1/2 the survival function is 1 - CDF to full relative precision; the direct
+    survival function is called only where it is below 1/2, because it raises
+    at tiny x once nc nears 700.
+    """
+    a = mu / c
+    x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
+    sf = 1.0 - chndtr(x, 2.0, nc)
+    direct = sf < 0.5
+    sf[direct] = _ncx2_sf(x[direct], 2.0, nc[direct])
+    return np.exp(log_k + a) / c * sf
+
+
+def gamma_sum_integrand(problem, side: str, d1, dk) -> tuple[np.ndarray, np.ndarray]:
+    """(energy term, SIR term) of ``problem.lower`` or ``problem.upper`` at the
+    aligned nodes (d1, dk), each evaluated on every node; their sum A + B is
+    the integrand."""
+    beta, a = problem.beta, problem.alpha
+    mu, log_c = problem._joint(d1, dk)
+    log_k = log_c - problem.scale * d1**a
+    if side == "lower":
+        z = problem.scale / (beta * d1**-a + dk**-a)
+        c1 = -np.expm1(a * np.log(d1 / dk))
+        return _lower_gamma_sum(mu, c1, z, log_k), _upper_gamma_sum(mu, beta + 1.0, z, log_c)
+    z = problem.scale / (beta * dk**-a + d1**-a)
+    return (_lower_gamma_sum(mu, 0.0, z, log_k),
+            _upper_gamma_sum(mu, beta * (d1 / dk) ** a + 1.0, z, log_c))
 
 
 def sample_batch_lexsort(ppp: DiscPpp, trials: int, rng) -> tuple[np.ndarray, ...]:

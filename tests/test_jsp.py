@@ -1,3 +1,4 @@
+import collections
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from aoiharvest.jsp import (
 from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
 from aoiharvest.quadrature import QuadratureSpec
 
-from oracles import count_series_integrand, jsp_brute_force, placement_bound_mc
+from oracles import count_series_integrand, gamma_sum_integrand, jsp_brute_force, placement_bound_mc
 
 FAST_SPEC = QuadratureSpec(rel_tol=1e-5)
 
@@ -253,7 +254,76 @@ def test_upper_gamma_sum_matches_scipy_stats():
     direct = sf < 0.5
     sf[direct] = stats.ncx2.sf(x[direct], 2.0, nc[direct])
     assert np.count_nonzero(direct) > 50_000
-    np.testing.assert_array_equal(jsp._upper_gamma_sum(mu, c, z, 0.0), np.exp(a) / c * sf)
+    np.testing.assert_array_equal(jsp._sir_term(mu, c, z, 0.0), np.exp(a) / c * sf)
+
+
+@pytest.fixture(scope="module")
+def kronrod_nodes():
+    """Every (problem, side, d1, dk, value) the two bound integrals evaluate
+    for R in {20, 60, 200} m, p_t in {0, 10, 20} dB and xi in {0.05, 0.5, 0.95}."""
+    out = []
+    for radius in (20.0, 60.0, 200.0):
+        for db in (0.0, 10.0, 20.0):
+            for xi in (0.05, 0.5, 0.95):
+                problem = jsp._BoundProblem(NetworkConfig(radius=radius, p_t=db_to_watt(db), xi=xi))
+                for side in ("lower", "upper"):
+                    calls = []
+
+                    def record(d1, dk, f=getattr(problem, side)):
+                        calls.append((d1, dk, f(d1, dk)))
+                        return calls[-1][2]
+
+                    jsp._evaluate_2d(problem, record, QuadratureSpec())
+                    d1, dk, value = (np.concatenate([c[i].ravel() for c in calls]) for i in range(3))
+                    out.append((problem, side, d1, dk, value))
+    return out
+
+
+def test_bound_integrands_match_gamma_sum_oracle(kronrod_nodes):
+    """Skipping a term that cannot change the sum, and sending the SIR term to
+    one Boost routine, leave every integrand value bit for bit as the sum of
+    both terms evaluated everywhere."""
+    for problem, side, d1, dk, value in kronrod_nodes:
+        energy, sir = gamma_sum_integrand(problem, side, d1, dk)
+        np.testing.assert_array_equal(value.view(np.int64), (energy + sir).view(np.int64))
+
+
+def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
+    """Over the Kronrod nodes above, terms are skipped both for underflow and
+    for being below half an ulp of the other term, and the SIR term's survival
+    function is called alone (x >= mean + 1.1 sd) as well as after 1 - CDF.
+    Each evaluated term costs one Boost call; every call beyond that is the
+    survival function after 1 - CDF came out below 1/2."""
+    nodes = collections.Counter()
+
+    def count(name, size_of):
+        def counted(*args, _fn=getattr(jsp, name)):
+            nodes[name] += size_of(args)
+            return _fn(*args)
+        monkeypatch.setattr(jsp, name, counted)
+
+    for name in ("_energy_term", "_sir_term", "chndtr", "_ncx2_sf"):
+        count(name, lambda args: args[0].size)
+    count("ive", lambda args: args[1].size)
+
+    def evaluate():
+        nodes.clear()
+        for problem, side, d1, dk, value in kronrod_nodes:
+            np.testing.assert_array_equal(getattr(problem, side)(d1, dk).view(np.int64), value.view(np.int64))
+        return nodes["_energy_term"] + nodes["_sir_term"]
+
+    n_nodes = sum(d1.size for _, _, d1, _, _ in kronrod_nodes)
+    skipping = evaluate()
+    fallback = nodes["chndtr"] + nodes["ive"] + nodes["_ncx2_sf"] - skipping
+    assert fallback > 0 and nodes["_ncx2_sf"] - fallback > 0
+    with monkeypatch.context() as m:
+        m.setattr(jsp, "_LOG_SKIP", np.inf)
+        without_ulp_skip = evaluate()
+    with monkeypatch.context() as m:
+        m.setattr(jsp, "_LOG_UNDERFLOW", -np.inf)
+        without_underflow_skip = evaluate()
+    assert skipping < without_ulp_skip < 2 * n_nodes
+    assert skipping < without_underflow_skip < 2 * n_nodes
 
 
 COUNT_WINDOW_BOUNDS = {

@@ -60,6 +60,9 @@ def test_erlang_nan_inputs_rejected(k, c, a):
 def test_erlang_upper_basic_values():
     assert erlang_upper(1, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert erlang_upper(3, math.inf, 0.0) == 0.0
+    for k in (1, 5, 600):
+        for c in (1.0, math.inf):
+            assert erlang_upper(k, c, math.inf) == 0.0
     with pytest.raises(DivergentIntegralError):
         erlang_upper(1, 0.0, 1.0)
     with pytest.raises(DivergentIntegralError):
@@ -172,6 +175,44 @@ def test_vector_integrand_matches_scalar_calls():
         exact = -math.expm1(-2.0 * c) / c
         assert one.value == pytest.approx(exact, rel=1e-10)
         assert res.value[j] == pytest.approx(one.value, rel=1e-10)
+
+
+def test_integrate_adaptive_reversed_limits():
+    forward = integrate_adaptive(np.sin, 0.0, math.pi, points=[1.0])
+    res = integrate_adaptive(np.sin, math.pi, 0.0, points=[1.0])
+    assert res.value == -forward.value == pytest.approx(-2.0, rel=1e-9)
+    assert res.error == forward.error >= 0.0
+    assert (res.converged, res.subdivisions) == (forward.converged, forward.subdivisions)
+    vec = integrate_adaptive(lambda x: np.outer(x, [1.0, 2.0]), 1.0, 0.0)
+    np.testing.assert_allclose(vec.value, [-0.5, -1.0], rtol=1e-13)
+    assert np.all(vec.error >= 0.0)
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(7.0 * x),
+    lambda x: np.exp(-np.outer(x, [0.5, 3.0, 40.0])) * np.sqrt(x)[:, None],
+])
+def test_integrate_adaptive_batches_panels(f):
+    """One call of f for the initial panels and one per split, each carrying
+    whole 15-node panels, with the bits of evaluating panel by panel."""
+    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=40)
+    sizes = []
+
+    def batched(x):
+        sizes.append(x.size)
+        return f(x)
+
+    def per_panel(x):
+        assert x.size % 15 == 0
+        return np.concatenate([f(panel) for panel in x.reshape(-1, 15)])
+
+    res = integrate_adaptive(batched, 0.0, 2.0, spec, points=[0.3, 1.0])
+    ref = integrate_adaptive(per_panel, 0.0, 2.0, spec, points=[0.3, 1.0])
+    assert res.subdivisions > 3
+    assert sizes == [3 * 15] + [2 * 15] * (res.subdivisions - 3)
+    assert res.subdivisions == ref.subdivisions and res.converged == ref.converged
+    for got, want in ((res.value, ref.value), (res.error, ref.error)):
+        np.testing.assert_array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
 
 
 def test_poisson_series_normalization():
