@@ -14,7 +14,8 @@ import argparse
 import dataclasses
 import sys
 
-from .config import _AT_LEAST_ONE, _NON_NEGATIVE, EXPERIMENT_NAMES, ConfigError, parse_config
+from .config import (_AT_LEAST_ONE, _HARVESTER, _NETWORK, _NON_NEGATIVE, EXPERIMENT_NAMES, ConfigError,
+                     _power, parse_config)
 from .experiments import UnknownExperimentError, run_experiment
 
 
@@ -56,11 +57,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":
+    if args.command == "validate":  # the settings as a config file, p_t in W
         print(f"config ok: {args.config}")
-        for key, value in dataclasses.asdict(cfg).items():
-            print(f"  network.{key} = {value}")
-        print(f"  experiment = {spec.name} (trials={spec.trials}, seed={spec.seed})")
+        for section, table, obj in (("network", _NETWORK, cfg), ("harvester", _HARVESTER, cfg.harvester)):
+            print(f"[{section}]")
+            for key, (field, parse, *_) in table.items():
+                print(f"{key} = {getattr(obj, field)}{' W' if parse is _power else ''}")
+        print(f"[experiment]\nname = {spec.name}\ntrials = {spec.trials}\nseed = {spec.seed}")
         return 0
 
     overrides = {}

@@ -5,12 +5,8 @@ file resolves to the reference defaults. Unknown sections or keys are
 rejected with the offending line number. ``p_t`` accepts a unit suffix
 ("10 dB" or "10 W"); everything else is SI.
 
-Sections and keys (all optional):
-
-    [network]   lambda radius alpha p_t eta xi tau sigma bandwidth e_th p_a
-    [harvester] model pr_min pr_max
-    [experiment] name trials seed output_dir sweep_start sweep_stop sweep_step sweep_unit
-    [queue]     mu p_a n_slots discipline
+Every key is optional. The tables ``_NETWORK``, ``_HARVESTER`` and ``_QUEUE``
+list the keys of their sections; ``parse_config`` lists those of [experiment].
 """
 
 from __future__ import annotations
@@ -44,17 +40,16 @@ class SweepAxis:
     def _count(self) -> int:
         if self.step <= 0:
             raise ConfigError("sweep step must be > 0")
-        n = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+        last = (self.stop - self.start) / self.step + 1e-9  # may be inf
+        if last >= _MAX_AXIS_POINTS:
+            raise ConfigError(f"the axis would have more than {_MAX_AXIS_POINTS} points")
+        n = int(math.floor(last)) + 1
         if n < 1:
             raise ConfigError("sweep axis is empty")
         return n
 
     def values(self) -> list[float]:
         return [self.start + i * self.step for i in range(self._count())]
-
-    def ends(self) -> tuple[float, float]:
-        """First and last of ``values()``, without building the list."""
-        return self.start, self.start + (self._count() - 1) * self.step
 
 
 # Per experiment: the NetworkConfig field its axis sets and the default axis;
@@ -134,11 +129,39 @@ def _parse_lines(text: str, path) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-_PARSE_ERRORS = {float: "not a number", int: "not an integer"}
+def _power(text: str) -> float:
+    """A power in W: a number, bare or with a 'W' or 'dB' suffix."""
+    match text.lower().split():
+        case [number] | [number, "w"]:
+            return float(number)
+        case [number, "db"]:
+            return db_to_watt(float(number))
+    raise ValueError(text)
+
+
+_PARSE_ERRORS = {float: "not a number", int: "not an integer", _power: "expected '<number> [dB|W]'"}
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")  # a trial or slot count
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _PROBABILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 _FINITE = (math.isfinite, "must be finite")
+
+# Per section: config key -> (dataclass field, parser[, check as in _take]).
+# A table builds its dataclass's keyword arguments. The [network] and
+# [harvester] tables also map a field an InvalidConfigError names back to its
+# key, and write the lines of `aoiharvest validate`.
+_NETWORK = {
+    "lambda": ("density", float), "radius": ("radius", float), "alpha": ("alpha", float),
+    "p_t": ("p_t", _power), "eta": ("eta", float), "xi": ("xi", float), "tau": ("tau", float),
+    "sigma": ("sigma_bits", float), "bandwidth": ("bandwidth", float), "e_th": ("e_th", float),
+    "p_a": ("p_a", float),
+}
+_HARVESTER = {"model": ("kind", str.lower), "pr_min": ("pr_min", float), "pr_max": ("pr_max", float)}
+_QUEUE = {
+    "mu": ("mu", float, _PROBABILITY), "p_a": ("p_a", float, _PROBABILITY),
+    "n_slots": ("n_slots", int, _AT_LEAST_ONE),
+    "discipline": ("discipline", str,
+                   (DISCIPLINES.__contains__, f"must be {' or '.join(DISCIPLINES)}, got {{!r}}")),
+}
 
 
 def _take(entries, key, path, default=None, parse=str, check=None):
@@ -157,28 +180,19 @@ def _take(entries, key, path, default=None, parse=str, check=None):
     return value
 
 
-def _take_power(entries, key, path, default):
-    """Power value with optional 'dB' or 'W' suffix; bare numbers are watts."""
-    if key not in entries:
-        return default
-    value, lineno = entries.pop(key)
-    tokens = value.split()
-    try:
-        if len(tokens) == 2 and tokens[1].lower() == "db":
-            return db_to_watt(float(tokens[0]))
-        if len(tokens) == 2 and tokens[1].lower() == "w":
-            return float(tokens[0])
-        if len(tokens) == 1:
-            return float(tokens[0])
-    except ValueError:
-        pass
-    raise ConfigError(f"expected '<number> [dB|W]', got {value!r}", path, lineno, key)
-
-
 def _reject_unknown(entries, section, path):
     if entries:
         key, (_, lineno) = next(iter(entries.items()))
         raise ConfigError(f"unknown key in [{section}]", path, lineno, key)
+
+
+def _take_section(sections, section, table, path) -> dict:
+    """Field keyword arguments of the keys [section] sets; unset fields keep their default."""
+    entries = sections.get(section, {})
+    kwargs = {field: _take(entries, key, path, None, *how)
+              for key, (field, *how) in table.items() if key in entries}
+    _reject_unknown(entries, section, path)
+    return kwargs
 
 
 def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
@@ -189,43 +203,18 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", path) from exc
     sections = _parse_lines(text, path)
-    known = {"network", "harvester", "experiment", "queue"}
     for name in sections:
-        if name not in known:
+        if name not in ("network", "harvester", "experiment", "queue"):
             raise ConfigError(f"unknown section [{name}]", path)
 
-    net = sections.get("network", {})
-    harv_section = sections.get("harvester", {})
-    key_lines = {k: ln for k, (_, ln) in list(net.items()) + list(harv_section.items())}
-    defaults = NetworkConfig()
-    kwargs = dict(
-        density=_take(net, "lambda", path, defaults.density, float),
-        radius=_take(net, "radius", path, defaults.radius, float),
-        alpha=_take(net, "alpha", path, defaults.alpha, float),
-        p_t=_take_power(net, "p_t", path, defaults.p_t),
-        eta=_take(net, "eta", path, defaults.eta, float),
-        xi=_take(net, "xi", path, defaults.xi, float),
-        tau=_take(net, "tau", path, defaults.tau, float),
-        sigma_bits=_take(net, "sigma", path, defaults.sigma_bits, float),
-        bandwidth=_take(net, "bandwidth", path, defaults.bandwidth, float),
-        e_th=_take(net, "e_th", path, defaults.e_th, float),
-        p_a=_take(net, "p_a", path, defaults.p_a, float),
-    )
-    _reject_unknown(net, "network", path)
-
-    harv = sections.get("harvester", {})
-    model_kind = _take(harv, "model", path, "linear").lower()
-    pr_min = _take(harv, "pr_min", path, HarvesterModel.pr_min, float)
-    pr_max = _take(harv, "pr_max", path, HarvesterModel.pr_max, float)
-    _reject_unknown(harv, "harvester", path)
+    key_lines = {k: ln for s in ("network", "harvester") for k, (_, ln) in sections.get(s, {}).items()}
+    network = _take_section(sections, "network", _NETWORK, path)
+    harvester = _take_section(sections, "harvester", _HARVESTER, path)
     try:
-        harvester = HarvesterModel(kind=model_kind, pr_min=pr_min, pr_max=pr_max)
-        cfg = NetworkConfig(harvester=harvester, **kwargs)
+        cfg = NetworkConfig(harvester=HarvesterModel(**harvester), **network)
     except InvalidConfigError as exc:
-        # Field names map onto config keys; recover the source line if present.
-        aliases = {"density": "lambda", "sigma_bits": "sigma", "kind": "model"}
-        field_name = str(exc).split()[0]
-        key = aliases.get(field_name, field_name)
+        # The message starts with a field name; recover its key and line.
+        key = {field: k for k, (field, *_) in (_NETWORK | _HARVESTER).items()}.get(str(exc).split()[0])
         # A limit between two keys (the mean count lambda * pi * R^2, or
         # pr_min < pr_max) is reported on the one the file sets.
         other = {"lambda": "radius", "pr_min": "pr_max"}.get(key)
@@ -254,19 +243,20 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
                               "(sweep_unit needs them too)", path)
         if SWEEPS[name] is None:
             raise ConfigError(f"{name} has no sweep axis", path, exp_lines["sweep_start"])
-        if (stop - start) / step + 1e-9 >= _MAX_AXIS_POINTS:  # SweepAxis._count() > the limit
-            raise ConfigError(f"the axis would have more than {_MAX_AXIS_POINTS} points",
-                              path, exp_lines["sweep_step"], "sweep_step")
         axis_field, default = SWEEPS[name]
+        sweep = SweepAxis(start, stop, step, default.unit if unit is None else unit)
+        try:
+            values = sweep.values()
+        except ConfigError as exc:  # too many points: the start, stop and step checks leave only that
+            raise ConfigError(str(exc), path, exp_lines["sweep_step"], "sweep_step") from None
         units = _AXIS_UNITS[axis_field]
         if unit is not None and unit.lower() not in (u.lower() for u in units):
             raise ConfigError(f"must be {' or '.join(map(repr, units))} on the {axis_field} axis of "
                               f"{name}, got {unit!r}", path, exp_lines["sweep_unit"], "sweep_unit")
-        sweep = SweepAxis(start, stop, step, default.unit if unit is None else unit)
         # Each field's valid range is an interval and dB -> W is monotone, so
         # the two ends of the axis decide whether every point is valid.
         _, to_field = _axis_conversion(axis_field, sweep.unit)
-        for key, x in zip(("sweep_start", "sweep_stop"), sweep.ends()):
+        for key, x in zip(("sweep_start", "sweep_stop"), (start, values[-1])):
             try:
                 replace(cfg, **{axis_field: to_field(x)})
             except InvalidConfigError as exc:
@@ -274,16 +264,6 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
                 raise ConfigError(f"{name} would set {axis_field} = {value}: {exc}",
                                   path, exp_lines[key], key) from exc
 
-    queue = sections.get("queue", {})
-    q_mu = _take(queue, "mu", path, None, float, _PROBABILITY)
-    q_pa = _take(queue, "p_a", path, None, float, _PROBABILITY)
-    q_slots = _take(queue, "n_slots", path, QueueSettings.n_slots, int, _AT_LEAST_ONE)
-    q_disc = _take(queue, "discipline", path, QueueSettings.discipline, check=(
-        DISCIPLINES.__contains__, f"must be {' or '.join(DISCIPLINES)}, got {{!r}}"))
-    _reject_unknown(queue, "queue", path)
-
-    spec = ExperimentSpec(
-        name=name, trials=trials, seed=seed, output_dir=output_dir, sweep=sweep,
-        queue=QueueSettings(mu=q_mu, p_a=q_pa, n_slots=q_slots, discipline=q_disc),
-    )
+    spec = ExperimentSpec(name=name, trials=trials, seed=seed, output_dir=output_dir, sweep=sweep,
+                          queue=QueueSettings(**_take_section(sections, "queue", _QUEUE, path)))
     return cfg, spec

@@ -99,8 +99,10 @@ def _erlang(k, c, a, upper: bool):
     if np.any(a < 0):
         raise ValueError(f"{'lower' if upper else 'upper'} limit a must be >= 0")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 0 * inf is 0 here: the c = 0 lead below takes a^k from a, and a = 0 is an empty range
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 0 * inf is 0 here: the c = 0 lead below takes a^k from a, and a = 0 is an empty range.
+        # An overflow is right too: at c * a = inf the regularized value is exact, and a
+        # result past the double range is inf.
         x = np.where((c == 0) | (a == 0), 0.0, c * a)
         reg = gammaincc(k, x) if upper else gammainc(k, x)
         logv = np.asarray(np.log(reg) - k * np.log(c))
@@ -117,7 +119,7 @@ def _erlang(k, c, a, upper: bool):
             n = k - upper
             lead = n * np.log(a) - x - gammaln(n + 1.0)
             logv[tail] = (lead - np.log(c) if upper else lead) + np.log(total)
-    out = np.exp(logv)
+        out = np.exp(logv)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from aoiharvest import experiments
 from aoiharvest.cli import main
-from aoiharvest.config import EXPERIMENT_NAMES
+from aoiharvest.config import EXPERIMENT_NAMES, parse_config
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -31,6 +31,20 @@ def test_validate_ok(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[network]\nxi = 0.3\n")
     assert main(["validate", cfg]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_validate_prints_a_config_that_parses_back(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "[network]\nlambda = 0.004\np_t = 3 dB\nsigma = 20\n"
+                              "[harvester]\nmodel = Nonlinear\npr_min = 0.02\n"
+                              "[experiment]\nname = jsp-vs-xi\ntrials = 500\nseed = 7\n"
+                              "[queue]\nmu = 0.5\n")
+    assert main(["validate", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"config ok: {cfg}\n")
+    assert "p_t = 1.9952623149688795 W\n" in out
+    net, spec = parse_config(write_cfg(tmp_path, out.split("\n", 1)[1], "printed.cfg"))
+    assert net == parse_config(cfg)[0] and net.harvester.kind == "nonlinear"
+    assert (spec.name, spec.trials, spec.seed) == ("jsp-vs-xi", 500, 7)
 
 
 def test_validate_bad_config(tmp_path, capsys):
@@ -82,10 +96,15 @@ def _axis(name, start, stop, step, unit=None):
     (_axis("jsp-vs-power", 3000, 4000, 1000), "sweep_stop", 4),
     ("[harvester]\npr_max = 0.01\n", "pr_max", 2),  # below the default pr_min
     (_axis("jsp-vs-power", 0, 20, 1e-12), "sweep_step", 5),  # 2e13 points
+    ("[network]\np_t = 2.5 dBm\n", "p_t", 2),
+    ("[network]\np_t = 1 2 W\n", "p_t", 2),
+    ("[network]\np_t =\n", "p_t", 2),
+    ("[network]\np_t = dB\n", "p_t", 2),
 ], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
         "mean_count_overflow", "mean_count_overflow_on_radius", "mean_count_quantile_nan",
         "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0", "radius_axis_mean_count",
-        "watt_axis_from_0", "db_axis_overflow", "pr_max_below_default_pr_min", "axis_too_long"])
+        "watt_axis_from_0", "db_axis_overflow", "pr_max_below_default_pr_min", "axis_too_long",
+        "p_t_unknown_unit", "p_t_two_numbers", "p_t_empty", "p_t_unit_only"])
 def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):
     cfg = write_cfg(tmp_path, text)
     assert main(["validate", cfg]) == 1

@@ -57,6 +57,14 @@ def test_erlang_nan_inputs_rejected(k, c, a):
         erlang_upper(k, c, a)
 
 
+@pytest.mark.filterwarnings("error")
+def test_erlang_values_past_the_double_range():
+    # c * a = 1e400 overflows; both values are below the smallest double
+    assert erlang_upper(2, 1e200, 1e200) == 0.0
+    assert erlang_lower(2, 1e200, 1e200) == 0.0
+    assert erlang_lower(3, 0.0, 1e200) == math.inf  # a^3/3! = 1.7e599
+
+
 def test_erlang_upper_basic_values():
     assert erlang_upper(1, 1.0, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert erlang_upper(3, math.inf, 0.0) == 0.0
