@@ -22,6 +22,14 @@ class InvalidConfigError(ValueError):
     """A parameter is outside the model's validity range."""
 
 
+# Largest mean transmitter count lambda pi R^2. The Monte Carlo sampler's first
+# chunk holds 1,024 trials as rows padded to the largest count, about the mean
+# count m. It peaks near 25 bytes per trial and unit of m (float64 rows, a byte
+# mask, float64 draws and distances; measured 25.2-26.0 at m = 1e3 to 3e4), so
+# 26 kB per unit of m, and this limit keeps it near 1 GB.
+MAX_MEAN_COUNT = 4e4
+
+
 @dataclass(frozen=True)
 class HarvesterModel:
     """Energy-conversion circuit.
@@ -87,14 +95,10 @@ class NetworkConfig:
         for ok, msg in checks:
             if not ok:
                 raise InvalidConfigError(msg)
-        # The count sampler draws up to the 1 - 1e-12 Poisson quantile of the
-        # mean count; SciPy's quantile is NaN above a mean of about 1.1e11.
-        from scipy.special import pdtrik  # on use: nothing else here needs SciPy
-
         mean_count = self.density * math.pi * self.radius * self.radius
-        if not math.isfinite(pdtrik(1.0 - 1e-12, mean_count)):
+        if not mean_count <= MAX_MEAN_COUNT:
             raise InvalidConfigError(f"density * pi * radius^2 (the mean transmitter count, {mean_count:g}) "
-                                     "is too large: its Poisson quantile is not finite")
+                                     f"exceeds {MAX_MEAN_COUNT:g}, the Monte Carlo sampler's memory limit")
 
 
 def sir_threshold(cfg: NetworkConfig) -> float:

@@ -92,6 +92,8 @@ def _axis(name, start, stop, step, unit=None):
     (_axis("jsp-vs-xi", 0.5, 1.0, 0.25), "sweep_stop", 4),
     (_axis("jsp-vs-radius", 0, 40, 20), "sweep_start", 3),
     (_axis("jsp-vs-radius", 20, 1e7, 1e7 - 20), "sweep_stop", 4),  # mean count 9.4e11 at the end
+    ("[network]\nlambda = 4\n", "lambda", 2),  # mean count 4.5e4: past the sampler's memory limit
+    (_axis("jsp-vs-radius", 20, 5000, 4980), "sweep_stop", 4),  # mean count 2.4e5 at the end
     (_axis("jsp-vs-power", 0, 2, 1, "W"), "sweep_start", 3),
     (_axis("jsp-vs-power", 3000, 4000, 1000), "sweep_stop", 4),
     ("[harvester]\npr_max = 0.01\n", "pr_max", 2),  # below the default pr_min
@@ -103,6 +105,7 @@ def _axis(name, start, stop, step, unit=None):
 ], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
         "mean_count_overflow", "mean_count_overflow_on_radius", "mean_count_quantile_nan",
         "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0", "radius_axis_mean_count",
+        "mean_count_past_sampler_limit", "radius_axis_past_sampler_limit",
         "watt_axis_from_0", "db_axis_overflow", "pr_max_below_default_pr_min", "axis_too_long",
         "p_t_unknown_unit", "p_t_two_numbers", "p_t_empty", "p_t_unit_only"])
 def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):

@@ -160,7 +160,8 @@ def test_one_point_sweep_axis_accepted(tmp_path):
 
 
 def test_sweep_axis_point_limit(tmp_path):
-    _, spec = parse_config(_sweep_cfg(tmp_path, "jsp-vs-radius", start="1", stop="10000", step="1"))
+    # a power axis: a radius axis out to 10,000 m would exceed the mean-count limit
+    _, spec = parse_config(_sweep_cfg(tmp_path, "jsp-vs-power", start="1", stop="10000", step="1", unit="W"))
     assert len(spec.sweep.values()) == 10_000
     for stop, step in [("10001", "1"), ("1e300", "1e-300")]:  # the second count overflows a float
         path = _sweep_cfg(tmp_path, "jsp-vs-radius", start="1", stop=stop, step=step)

@@ -265,17 +265,19 @@ def kronrod_nodes():
     for radius in (20.0, 60.0, 200.0):
         for db in (0.0, 10.0, 20.0):
             for xi in (0.05, 0.5, 0.95):
-                problem = jsp._BoundProblem(NetworkConfig(radius=radius, p_t=db_to_watt(db), xi=xi))
+                cfg = NetworkConfig(radius=radius, p_t=db_to_watt(db), xi=xi)
                 for side in ("lower", "upper"):
                     calls = []
 
-                    def record(d1, dk, f=getattr(problem, side)):
-                        calls.append((d1, dk, f(d1, dk)))
+                    def record(self, d1, dk, f=getattr(jsp._BoundProblem, side)):
+                        calls.append((d1, dk, f(self, d1, dk)))
                         return calls[-1][2]
 
-                    jsp._evaluate_2d(problem, record, QuadratureSpec())
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(jsp._BoundProblem, side, record)
+                        jsp._bound_integral.__wrapped__(cfg, side, QuadratureSpec())
                     d1, dk, value = (np.concatenate([c[i].ravel() for c in calls]) for i in range(3))
-                    out.append((problem, side, d1, dk, value))
+                    out.append((jsp._BoundProblem(cfg), side, d1, dk, value))
     return out
 
 
@@ -374,6 +376,88 @@ def test_saturated_bound_agrees_with_count_window_evaluator():
     est = jsp_lower_bound(cfg, regime="case_c", spec=TIGHT_SPEC)
     assert est.converged
     assert abs(est.value - COUNT_WINDOW_SATURATED_LOWER) <= 1e-8
+
+
+XISTAR_SPEC = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)  # the spec of the xistar-vs-* sweeps
+# (lower, upper) at QuadratureSpec(), then at XISTAR_SPEC, keyed (radius, xi, p_t dB).
+DRIVER_BOUNDS = {
+    (20.0, 0.1, 0.0): (0.03955005131764731, 0.11375239828090587,
+                       0.03955005131765472, 0.11375239828090977),
+    (20.0, 0.1, 20.0): (0.6710221399827677, 0.8506452702896593,
+                       0.6710221399827677, 0.8506452702896593),
+    (20.0, 0.55, 0.0): (0.11897567589890481, 0.30272437971672844,
+                       0.1189756759139323, 0.30272437971672844),
+    (20.0, 0.55, 20.0): (0.9659667260863373, 0.9833779445011781,
+                       0.9659667260863373, 0.9833779445011781),
+    (20.0, 0.9, 0.0): (0.16214383535493443, 0.3867030992072944,
+                       0.16214383535493443, 0.3867030992072944),
+    (20.0, 0.9, 20.0): (0.9666835270717402, 0.9900955537731353,
+                       0.9666835270717402, 0.9900955537731353),
+    (60.0, 0.1, 0.0): (0.035822206650725115, 0.34756415694474674,
+                       0.035822206650948964, 0.34756415694474674),
+    (60.0, 0.1, 20.0): (0.5183797250731172, 0.999057585131738,
+                       0.5183797250874815, 0.9990575851319288),
+    (60.0, 0.55, 0.0): (0.10570839584733713, 0.7254708505681615,
+                       0.10570839584733713, 0.7254708505681615),
+    (60.0, 0.55, 20.0): (0.9083291538681088, 0.9996589422385193,
+                       0.9083291538681143, 0.9996589422385193),
+    (60.0, 0.9, 0.0): (0.13529561609168378, 0.8284960468961436,
+                       0.1352956160917897, 0.828496046896235),
+    (60.0, 0.9, 20.0): (0.7952390756142851, 0.9984655073041656,
+                       0.7952390756142851, 0.9984655073041656),
+    (140.0, 0.1, 0.0): (0.03498936402702643, 0.7316134320979047,
+                       0.034989364027027396, 0.7316134320984666),
+    (140.0, 0.1, 20.0): (0.48345418909133414, 0.999925063892523,
+                       0.4834541890910132, 0.999925063892523),
+    (140.0, 0.55, 0.0): (0.09817908990284603, 0.9821196068830172,
+                       0.09817908990284603, 0.9821196068828633),
+    (140.0, 0.55, 20.0): (0.7127630547597318, 0.9998500890821168,
+                       0.7127630547595014, 0.9998500890821168),
+    (140.0, 0.9, 0.0): (0.07170133324974134, 0.9954514693427494,
+                       0.07170133324974134, 0.9954514693427494),
+    (140.0, 0.9, 20.0): (0.281013419868796, 0.9993241792628876,
+                       0.2810134198752304, 0.9993241792628876),
+    (200.0, 0.1, 0.0): (0.033260087902996074, 0.8796192218516694,
+                       0.033260087902993965, 0.8796192218516696),
+    (200.0, 0.1, 20.0): (0.44707894168394946, 0.9999473953663517,
+                       0.4470789416839495, 0.9999473953663519),
+    (200.0, 0.55, 0.0): (0.08480030659455194, 0.9984105306668803,
+                       0.08480030659424974, 0.9984105306668807),
+    (200.0, 0.55, 20.0): (0.5426253633414791, 0.9998947595829647,
+                       0.5426253633414794, 0.999894759582965),
+    (200.0, 0.9, 0.0): (0.024833760392104023, 0.9994002307442033,
+                       0.024833760395639656, 0.9994002307442035),
+    (200.0, 0.9, 20.0): (0.07448446787360745, 0.9995254358335651,
+                       0.07448446787360746, 0.9995254358335653),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DRIVER_BOUNDS))
+def test_bounds_match_per_panel_driver(key):
+    """The pinned values come from the driver that ran one inner drive per
+    15-node outer panel, on fixed u-splits only (commit 6cc5725). Sharing one
+    inner drive per outer round and splitting at u = 1 - c/m must leave every
+    bound within 1e-10 relative of them."""
+    radius, xi, db = key
+    cfg = NetworkConfig(radius=radius, xi=xi, p_t=db_to_watt(db))
+    got = [fn(cfg, spec=spec).value for spec in (QuadratureSpec(), XISTAR_SPEC)
+           for fn in (jsp_lower_bound, jsp_upper_bound)]
+    np.testing.assert_allclose(got, DRIVER_BOUNDS[key], rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("radius", [20.0, 200.0])
+@pytest.mark.parametrize("db", [0.0, 20.0])
+def test_reported_error_covers_actual_error(radius, db):
+    """The folded inner and outer error estimate bounds the distance to a
+    rel-1e-11 evaluation, at both specs the sweeps use."""
+    cfg = NetworkConfig(radius=radius, p_t=db_to_watt(db))
+    for fn in (jsp_lower_bound, jsp_upper_bound):
+        tight = fn(cfg, spec=QuadratureSpec(rel_tol=1e-11, abs_tol=1e-14))
+        assert tight.converged
+        for spec in (QuadratureSpec(), XISTAR_SPEC):
+            est = fn(cfg, spec=spec)
+            assert est.converged
+            assert est.quadrature_error >= abs(est.value - tight.value)
 
 
 def test_beta_recomputed_from_xi():

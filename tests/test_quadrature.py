@@ -13,6 +13,7 @@ from aoiharvest.quadrature import (
     erlang_lower,
     erlang_upper,
     integrate_adaptive,
+    integrate_iterated,
     poisson_series,
 )
 
@@ -194,6 +195,27 @@ def test_integrate_adaptive_reversed_limits():
     vec = integrate_adaptive(lambda x: np.outer(x, [1.0, 2.0]), 1.0, 0.0)
     np.testing.assert_allclose(vec.value, [-0.5, -1.0], rtol=1e-13)
     assert np.all(vec.error >= 0.0)
+
+
+
+def test_integrate_iterated_shares_one_inner_drive_per_outer_round():
+    """int_0^2 int_0^1 2u sqrt|x - 0.7| du dx = (2/3)(0.7^1.5 + 1.3^1.5), with
+    a kink in x that forces outer splits. Every outer Kronrod round reaches f
+    as one inner drive over all its x nodes: 45 on the three initial panels,
+    then 30 per split. f is linear in u, so each inner drive is one call."""
+    widths = []
+
+    def f(x, u):
+        assert x.shape == u.shape and np.all(u[:, :1] == u) and np.all(x[:1] == x)
+        widths.append(x.shape[1])
+        return 2.0 * u * np.sqrt(np.abs(x - 0.7))
+
+    res = integrate_iterated(f, 0.0, 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13),
+                             points=[0.3, 1.0], inner_points=[0.5])
+    want = (0.7**1.5 + 1.3**1.5) * 2.0 / 3.0
+    assert res.converged and abs(res.value - want) <= 1e-9
+    assert res.subdivisions > 3
+    assert set(widths[:1]) == {45} and set(widths[1:]) == {30}
 
 
 @pytest.mark.parametrize("f", [
