@@ -12,8 +12,8 @@ Erlang variable. The sum over the count then closes into noncentral
 chi-square or modified Bessel functions, at most one per term of a node
 (Johnson, Kotz and Balakrishnan, Continuous Univariate Distributions vol. 2,
 ch. 29; Abramowitz and Stegun 9.6.10), under one adaptive distance integral
-or an iterated pair whose every outer round shares one inner drive; a term
-too small to change its node's sum is not evaluated.
+or an adaptive d_1 integral with a fixed Kronrod rule in d_K; a term too
+small to change its node's sum is not evaluated.
 
 Sweep points share work through two bounded memo caches: one Monte Carlo draw
 per geometry, and one evaluation per bound integral.
@@ -143,10 +143,13 @@ def _near_quantiles(ppp: DiscPpp, qs) -> list[float]:
 
 
 _SPLIT_QS = (0.001, 0.05, 0.25, 0.5, 0.75, 0.95, 0.999)
-# Inner u-splits, d_K = d_1 + u (R - d_1). Near u = 1 the farthest-point density
-# falls like exp(-2 m (1 - d_1/R)(1 - u)), m the mean count: split at 1 - _INNER_TAIL/m
-# (dropped where <= 0). Over R = 20-200 m, five xi, three powers and both sweep specs
-# the bounds took 3.20M nodes at 10, 3.18-3.27M at 8-11, 4.30M unsplit, 4.6-4.7M at 3 or 30.
+# Cuts of the fixed u rule, d_K = d_1 + u (R - d_1): one 15-node Kronrod panel between
+# neighbours, so they set both its accuracy and its cost. Near u = 1 the farthest-point
+# density falls like exp(-2 m (1 - d_1/R)(1 - u)), m the mean count: cut at
+# 1 - _INNER_TAIL/m (dropped where <= 0). Over 648 bounds (R = 20-200 m, three each of
+# alpha, lambda, xi and power) at rel 1e-11, the rule stayed within 1.3e-11 of an adaptive
+# u drive at 10, against 1.7e-8 at 30 and 5.2e-8 at 3 or with no such cut. At the default
+# spec they took 8.37M nodes at 10, 8.14M at 30 and 6.86M with no such cut.
 _INNER_U_SPLITS = (0.5, 0.9, 0.99)
 _INNER_TAIL = 10.0
 

@@ -3,10 +3,11 @@
 Three pieces: the Erlang integrals int z^{k-1}/(k-1)! e^{-c z} dz over
 [0, a] and [a, inf), both written once in ``_erlang`` as c^-k times a
 regularized incomplete gamma, with one log-space Poisson-tail sum where that
-underflows and at c = 0; one adaptive Gauss-Kronrod integrator for scalar- or
-vector-valued integrands, with the iterated integral the bounds run on it;
-and a truncated Poisson count series for sums with no closed form. Shapes
-reach several hundred at the largest disc radii.
+underflows and at c = 0; one adaptive Gauss-Kronrod integrator, with the
+iterated integral the bounds run on it (adaptive in the outer variable, a
+fixed Kronrod rule in the inner one); and a truncated Poisson count series
+for sums with no closed form. Shapes reach several hundred at the largest
+disc radii.
 
 No output path calls the Erlang forms or ``poisson_series``. Only acceptance
 criterion 7 (tests/test_acceptance.py) uses both, and the reference bounds in
@@ -63,8 +64,8 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: float | np.ndarray     # length-m arrays for an (n, m) integrand
-    error: float | np.ndarray
+    value: float
+    error: float
     converged: bool
     subdivisions: int
 
@@ -186,13 +187,11 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
                        points=None) -> IntegralResult:
     """Adaptive Gauss-Kronrod integration of a vectorised callable on [lo, hi].
 
-    ``f`` must accept an ndarray of n nodes and return n values, or an (n, m)
-    array for m integrands at once; then value and error are length-m arrays,
-    and the panel to split and the stopping rule follow the summed error.
-    Each call carries the 15 nodes of several panels back to back (all initial
-    panels, then both halves of each split), so ``f`` must act elementwise
-    across them. ``points`` seeds the initial subdivision (useful for sharply
-    peaked integrands). The result carries the achieved error estimate; if
+    ``f`` must accept an ndarray of n nodes and return n values. Each call
+    carries the 15 nodes of several panels back to back (all initial panels,
+    then both halves of each split), so ``f`` must act elementwise across
+    them. ``points`` seeds the initial subdivision (useful for sharply peaked
+    integrands). The result carries the achieved error estimate; if
     ``max_subdivisions`` is exhausted the best estimate is returned flagged
     non-converged. For lo > hi the value is minus that over [hi, lo].
     """
@@ -211,15 +210,15 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
     cuts = sorted(set(cuts))
 
     def done() -> bool:
-        return bool(np.sum(total_e) <= max(spec.abs_tol, spec.rel_tol * np.sum(np.abs(total_v))))
+        return bool(total_e <= max(spec.abs_tol, spec.rel_tol * abs(total_v)))
 
-    heap = []  # (-summed err, lo, hi, value, err)
+    heap = []  # (-err, lo, hi, value, err)
     total_v = 0.0
     total_e = 0.0
     n_panels = 0
     edges = list(zip(cuts[:-1], cuts[1:]))
     for (a, b), (v, e) in zip(edges, _gk15(f, edges)):
-        heapq.heappush(heap, (-float(np.sum(e)), a, b, v, e))
+        heapq.heappush(heap, (-float(e), a, b, v, e))
         total_v += v
         total_e += e
         n_panels += 1
@@ -230,42 +229,33 @@ def integrate_adaptive(f, lo: float, hi: float, spec: QuadratureSpec | None = No
         (v1, e1), (v2, e2) = _gk15(f, [(a, m), (m, b)])
         total_v += v1 + v2 - v
         total_e += e1 + e2 - e
-        heapq.heappush(heap, (-float(np.sum(e1)), a, m, v1, e1))
-        heapq.heappush(heap, (-float(np.sum(e2)), m, b, v2, e2))
+        heapq.heappush(heap, (-float(e1), a, m, v1, e1))
+        heapq.heappush(heap, (-float(e2), m, b, v2, e2))
         n_panels += 1
 
-    if np.ndim(total_v) == 0:
-        total_v, total_e = float(total_v), float(total_e)
-    return IntegralResult(total_v, total_e, done(), n_panels)
+    return IntegralResult(float(total_v), float(total_e), done(), n_panels)
 
 
 def integrate_iterated(f, lo: float, hi: float, spec: QuadratureSpec | None = None,
                        points=None, inner_points=None) -> IntegralResult:
-    """int_lo^hi int_0^1 f(x, u) du dx for lo < hi; ``f`` takes aligned arrays
-    (u down the rows, x across the columns) and returns values of their shape.
+    """int_lo^hi int_0^1 f(x, u) du dx; ``f`` takes aligned arrays (u down the
+    rows, x across the columns) and returns values of their shape.
 
-    An adaptive drive over x, seeded with ``points``, hands all x nodes of a
-    Kronrod round to one vector-valued inner drive on [0, 1], seeded with
-    ``inner_points``, that splits by their summed error. Inner drives run at a
-    third of the outer relative tolerance (at least 1e-12), abs_tol/(10 (hi -
-    lo)) and at most 60 panels. Their mean error per x node times (hi - lo) is
-    added to the error; the result is converged where the outer error meets
-    the spec or is within twice that inner budget."""
-    spec = spec or QuadratureSpec()
-    inner_spec = replace(spec, rel_tol=max(spec.rel_tol / 3.0, 1e-12),
-                         abs_tol=spec.abs_tol / (10.0 * (hi - lo)), max_subdivisions=60)
-    inner_errors = []
+    An adaptive drive over x, seeded with ``points``, integrates in u by a
+    fixed rule: one 15-point Kronrod panel between each pair of neighbouring
+    ``inner_points`` on [0, 1], with all x nodes of a Kronrod round in one
+    call of f. The result is that drive's, so its error leaves out the u
+    rule's own: on the bound integrals the rule stays within 3e-11 absolute
+    of an adaptive u drive at rel 1e-11 (tests/test_jsp.py). For lo > hi the
+    value is minus that over [hi, lo]."""
+    cuts = sorted({0.0, 1.0, *(p for p in inner_points or () if 0.0 < p < 1.0)})
+    edges = list(zip(cuts[:-1], cuts[1:]))
 
-    def inner(xs: np.ndarray) -> np.ndarray:
-        res = integrate_adaptive(lambda u: f(*np.broadcast_arrays(xs[None, :], u[:, None])),
-                                 0.0, 1.0, inner_spec, inner_points)
-        inner_errors.append(res.error)
-        return res.value
+    def rule(xs: np.ndarray) -> np.ndarray:
+        panels = _gk15(lambda u: f(*np.broadcast_arrays(xs[None, :], u[:, None])), edges)
+        return sum(v for v, _ in panels)
 
-    outer = integrate_adaptive(inner, lo, hi, spec, points)
-    inner_budget = (hi - lo) * float(np.mean(np.concatenate(inner_errors)))
-    converged = outer.error <= max(spec.abs_tol, spec.rel_tol * abs(outer.value), 2.0 * inner_budget)
-    return IntegralResult(outer.value, outer.error + inner_budget, converged, outer.subdivisions)
+    return integrate_adaptive(rule, lo, hi, spec, points)
 
 
 def poisson_series(term, ppp: DiscPpp, series_mass: float = QuadratureSpec.series_mass) -> SeriesResult:

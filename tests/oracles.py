@@ -16,6 +16,9 @@ so the padded row sort of the sampler must match it bit for bit.
 way, both noncentral chi-square terms on every node, through the two sum
 helpers the library used before it learned to skip a term that cannot change
 the sum; the library's integrands must match it bit for bit.
+``integrate_iterated_adaptive`` is the iterated-integral driver the library
+used before its u rule was fixed: one adaptive inner drive over u per outer
+Kronrod round, on the library's Kronrod panels.
 The serving and farthest distance densities (in the form the bound integrals
 use), their normalized laws and the truncated count mean are references for
 the sampler's distribution fits.
@@ -23,7 +26,9 @@ the sampler's distribution fits.
 
 from __future__ import annotations
 
+import heapq
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +38,7 @@ from scipy.special._ufuncs import _ncx2_sf
 from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
 from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
-from aoiharvest.quadrature import erlang_lower, erlang_upper
+from aoiharvest.quadrature import IntegralResult, _gk15, erlang_lower, erlang_upper, integrate_adaptive
 
 
 def _sample_trial(cfg: NetworkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -400,3 +405,60 @@ def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[
         mean_residual=float(trace.residuals.mean()) if count else math.nan,
     )
     return trace, stats
+
+
+def _integrate_summed(f, lo: float, hi: float, spec, points) -> IntegralResult:
+    """Adaptive Kronrod drive on [lo, hi], lo < hi, of an (n, m)-valued f: value
+    and error are length-m arrays, and the panel to split and the stopping
+    rule follow the summed error."""
+    cuts = sorted({lo, hi, *(p for p in points or () if lo < p < hi)})
+
+    def done() -> bool:
+        return bool(np.sum(total_e) <= max(spec.abs_tol, spec.rel_tol * np.sum(np.abs(total_v))))
+
+    heap = []
+    total_v = total_e = 0.0
+    edges = list(zip(cuts[:-1], cuts[1:]))
+    for (a, b), (v, e) in zip(edges, _gk15(f, edges)):
+        heapq.heappush(heap, (-float(np.sum(e)), a, b, v, e))
+        total_v += v
+        total_e += e
+    n_panels = len(edges)
+    while n_panels < spec.max_subdivisions and not done():
+        _, a, b, v, e = heapq.heappop(heap)
+        m = 0.5 * (a + b)
+        (v1, e1), (v2, e2) = _gk15(f, [(a, m), (m, b)])
+        total_v += v1 + v2 - v
+        total_e += e1 + e2 - e
+        heapq.heappush(heap, (-float(np.sum(e1)), a, m, v1, e1))
+        heapq.heappush(heap, (-float(np.sum(e2)), m, b, v2, e2))
+        n_panels += 1
+    return IntegralResult(total_v, total_e, done(), n_panels)
+
+
+def integrate_iterated_adaptive(f, lo: float, hi: float, spec, points=None,
+                                inner_points=None) -> IntegralResult:
+    """int_lo^hi int_0^1 f(x, u) du dx for lo < hi, in the call form of
+    ``quadrature.integrate_iterated``.
+
+    An adaptive drive over x, seeded with ``points``, hands all x nodes of a
+    Kronrod round to one vector-valued inner drive on [0, 1], seeded with
+    ``inner_points``, that splits by their summed error. Inner drives run at a
+    third of the outer relative tolerance (at least 1e-12), abs_tol/(10 (hi -
+    lo)) and at most 60 panels. Their mean error per x node times (hi - lo) is
+    added to the error; the result is converged where the outer error meets
+    the spec or is within twice that inner budget."""
+    inner_spec = replace(spec, rel_tol=max(spec.rel_tol / 3.0, 1e-12),
+                         abs_tol=spec.abs_tol / (10.0 * (hi - lo)), max_subdivisions=60)
+    inner_errors = []
+
+    def inner(xs: np.ndarray) -> np.ndarray:
+        res = _integrate_summed(lambda u: f(*np.broadcast_arrays(xs[None, :], u[:, None])),
+                                0.0, 1.0, inner_spec, inner_points)
+        inner_errors.append(res.error)
+        return res.value
+
+    outer = integrate_adaptive(inner, lo, hi, spec, points)
+    inner_budget = (hi - lo) * float(np.mean(np.concatenate(inner_errors)))
+    converged = outer.error <= max(spec.abs_tol, spec.rel_tol * abs(outer.value), 2.0 * inner_budget)
+    return IntegralResult(outer.value, outer.error + inner_budget, converged, outer.subdivisions)

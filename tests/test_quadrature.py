@@ -9,6 +9,7 @@ from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig
 from aoiharvest.quadrature import (
     DivergentIntegralError,
+    IntegralResult,
     QuadratureSpec,
     erlang_lower,
     erlang_upper,
@@ -173,58 +174,45 @@ def test_integrate_adaptive_with_points():
     assert res.value == pytest.approx(0.3 + 1.4, rel=1e-12)
 
 
-def test_vector_integrand_matches_scalar_calls():
-    rates = np.array([0.5, 1.0, 3.0, 12.0])
-    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
-    res = integrate_adaptive(lambda x: np.exp(-np.outer(x, rates)), 0.0, 2.0, spec, points=[0.5])
-    assert res.value.shape == res.error.shape == rates.shape
-    assert res.converged is True
-    for j, c in enumerate(rates):
-        one = integrate_adaptive(lambda x: np.exp(-c * x), 0.0, 2.0, spec, points=[0.5])
-        exact = -math.expm1(-2.0 * c) / c
-        assert one.value == pytest.approx(exact, rel=1e-10)
-        assert res.value[j] == pytest.approx(one.value, rel=1e-10)
-
-
 def test_integrate_adaptive_reversed_limits():
     forward = integrate_adaptive(np.sin, 0.0, math.pi, points=[1.0])
     res = integrate_adaptive(np.sin, math.pi, 0.0, points=[1.0])
     assert res.value == -forward.value == pytest.approx(-2.0, rel=1e-9)
     assert res.error == forward.error >= 0.0
     assert (res.converged, res.subdivisions) == (forward.converged, forward.subdivisions)
-    vec = integrate_adaptive(lambda x: np.outer(x, [1.0, 2.0]), 1.0, 0.0)
-    np.testing.assert_allclose(vec.value, [-0.5, -1.0], rtol=1e-13)
-    assert np.all(vec.error >= 0.0)
 
 
-
-def test_integrate_iterated_shares_one_inner_drive_per_outer_round():
-    """int_0^2 int_0^1 2u sqrt|x - 0.7| du dx = (2/3)(0.7^1.5 + 1.3^1.5), with
-    a kink in x that forces outer splits. Every outer Kronrod round reaches f
-    as one inner drive over all its x nodes: 45 on the three initial panels,
-    then 30 per split. f is linear in u, so each inner drive is one call."""
+def test_integrate_iterated_calls_f_once_per_outer_round():
+    """int_0^2 int_0^1 e^{-20u} sqrt|x - 0.7| du dx = (1 - e^-20)/20 (2/3)
+    (0.7^1.5 + 1.3^1.5), with a kink in x that forces outer splits. Every outer
+    Kronrod round reaches f in one call over all its x nodes (45 on the three
+    initial panels, then 30 per split) and the 30 u nodes of the fixed rule,
+    15 on each side of the inner point. An adaptive u drive splits on
+    e^{-20u} and calls f several times per round; the fixed rule never does.
+    Equal limits give 0 and reversed limits the negated value."""
     widths = []
 
     def f(x, u):
         assert x.shape == u.shape and np.all(u[:, :1] == u) and np.all(x[:1] == x)
+        assert np.all((u[:15] < 0.5) & (u[15:] > 0.5)) and x.shape[0] == 30
         widths.append(x.shape[1])
-        return 2.0 * u * np.sqrt(np.abs(x - 0.7))
+        return np.exp(-20.0 * u) * np.sqrt(np.abs(x - 0.7))
 
-    res = integrate_iterated(f, 0.0, 2.0, QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13),
-                             points=[0.3, 1.0], inner_points=[0.5])
-    want = (0.7**1.5 + 1.3**1.5) * 2.0 / 3.0
-    assert res.converged and abs(res.value - want) <= 1e-9
+    spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
+    res = integrate_iterated(f, 0.0, 2.0, spec, points=[0.3, 1.0], inner_points=[0.5])
+    want = -math.expm1(-20.0) / 20.0 * (0.7**1.5 + 1.3**1.5) * 2.0 / 3.0
+    assert res.converged and abs(res.value - want) <= 1e-12
     assert res.subdivisions > 3
-    assert set(widths[:1]) == {45} and set(widths[1:]) == {30}
+    assert widths == [45] + [30] * (res.subdivisions - 3)
+    assert integrate_iterated(f, 1.0, 1.0, spec) == IntegralResult(0.0, 0.0, True, 0)
+    back = integrate_iterated(f, 2.0, 0.0, spec, points=[0.3, 1.0], inner_points=[0.5])
+    assert back == IntegralResult(-res.value, res.error, res.converged, res.subdivisions)
 
 
-@pytest.mark.parametrize("f", [
-    lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(7.0 * x),
-    lambda x: np.exp(-np.outer(x, [0.5, 3.0, 40.0])) * np.sqrt(x)[:, None],
-])
-def test_integrate_adaptive_batches_panels(f):
+def test_integrate_adaptive_batches_panels():
     """One call of f for the initial panels and one per split, each carrying
     whole 15-node panels, with the bits of evaluating panel by panel."""
+    f = lambda x: np.sqrt(np.abs(x - 0.3)) * np.cos(7.0 * x)
     spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=40)
     sizes = []
 
