@@ -5,7 +5,7 @@
     aoiharvest list-experiments
 
 Exit codes: 0 success, 1 config/runtime error, 2 unknown experiment name or a
-malformed command line (including --seed < 0 or --trials < 1).
+malformed command line (including --seed or --trials out of range).
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import argparse
 import dataclasses
 import sys
 
-from .config import (_AT_LEAST_ONE, _HARVESTER, _NETWORK, _NON_NEGATIVE, EXPERIMENT_NAMES, ConfigError,
-                     _power, parse_config)
+from .config import (_HARVESTER, _NETWORK, _NON_NEGATIVE, _TRIALS, EXPERIMENT_NAMES, ConfigError, _power,
+                     parse_config)
 from .experiments import UnknownExperimentError, run_experiment
 
 
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for option, (ok, message) in (("seed", _NON_NEGATIVE), ("trials", _AT_LEAST_ONE)):
+    for option, (ok, message) in (("seed", _NON_NEGATIVE), ("trials", _TRIALS)):
         value = getattr(args, option, None)  # the config file's checks; only `run` has these
         if value is not None and not ok(value):
             parser.error(f"argument --{option}: {message.format(value)}")

@@ -139,8 +139,15 @@ def _power(text: str) -> float:
     raise ValueError(text)
 
 
+# Largest trial count and queue length, on the ~1 GB budget of model.MAX_MEAN_COUNT. By
+# tracemalloc, run_experiment peaks near 145 bytes per trial (jsp-vs-radius at 1e5-1e6 trials:
+# jsp._geometry_sums keeps 8 geometries of 16 bytes a trial) and 55 per queue-path slot.
+MAX_TRIALS = 6_000_000
+MAX_SLOTS = 18_000_000
+
 _PARSE_ERRORS = {float: "not a number", int: "not an integer", _power: "expected '<number> [dB|W]'"}
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")  # a trial or slot count
+_TRIALS = (lambda v: 1 <= v <= MAX_TRIALS, f"must be >= 1 and <= {MAX_TRIALS}, the memory limit")
+_SLOTS = (lambda v: 1 <= v <= MAX_SLOTS, f"must be >= 1 and <= {MAX_SLOTS}, the memory limit")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
 _PROBABILITY = (lambda v: 0 < v <= 1, "must be in (0, 1]")
 _FINITE = (math.isfinite, "must be finite")
@@ -158,7 +165,7 @@ _NETWORK = {
 _HARVESTER = {"model": ("kind", str.lower), "pr_min": ("pr_min", float), "pr_max": ("pr_max", float)}
 _QUEUE = {
     "mu": ("mu", float, _PROBABILITY), "p_a": ("p_a", float, _PROBABILITY),
-    "n_slots": ("n_slots", int, _AT_LEAST_ONE),
+    "n_slots": ("n_slots", int, _SLOTS),
     "discipline": ("discipline", str,
                    (DISCIPLINES.__contains__, f"must be {' or '.join(DISCIPLINES)}, got {{!r}}")),
 }
@@ -226,7 +233,7 @@ def parse_config(path) -> tuple[NetworkConfig, ExperimentSpec]:
     exp_lines = {k: ln for k, (_, ln) in exp.items()}
     name = _take(exp, "name", path, ExperimentSpec.name, check=(
         EXPERIMENT_NAMES.__contains__, f"unknown experiment {{!r}}; valid: {', '.join(EXPERIMENT_NAMES)}"))
-    trials = _take(exp, "trials", path, ExperimentSpec.trials, int, _AT_LEAST_ONE)
+    trials = _take(exp, "trials", path, ExperimentSpec.trials, int, _TRIALS)
     seed = _take(exp, "seed", path, ExperimentSpec.seed, int, _NON_NEGATIVE)
     output_dir = Path(_take(exp, "output_dir", path, ExperimentSpec.output_dir))
     start = _take(exp, "sweep_start", path, None, float, _FINITE)

@@ -4,16 +4,16 @@ harvested energy clears e_th AND the SIR clears the decoding threshold.
 Three routes to the same number: conditioned Monte Carlo over sampled
 realizations, an analytic lower bound (every interferer moved to the farthest
 distance for harvesting, to the serving distance for interference), and an
-analytic upper bound (the reverse placement). Each bound integrates its
-placement construction exactly: given the serving and farthest distances
-(d_1, d_K), the K - 2 points between them are Poisson with mean
+analytic upper bound (the reverse placement). Every bound, the saturated
+circuit's too, integrates one placement integrand over the serving and
+farthest distances (d_1, d_K), between which K - 2 points are Poisson with mean
 mu = lambda pi (d_K^2 - d_1^2), and the K - 1 interferer gains sum to an
 Erlang variable. The sum over the count then closes into noncentral
 chi-square or modified Bessel functions, at most one per term of a node
 (Johnson, Kotz and Balakrishnan, Continuous Univariate Distributions vol. 2,
-ch. 29; Abramowitz and Stegun 9.6.10), under one adaptive distance integral
-or an adaptive d_1 integral with a fixed Kronrod rule in d_K; a term too
-small to change its node's sum is not evaluated.
+ch. 29; Abramowitz and Stegun 9.6.10), under an adaptive d_1 integral with a
+fixed Kronrod rule in d_K; a term too small to change its node's sum is not
+evaluated.
 
 Sweep points share work through two bounded memo caches: one Monte Carlo draw
 per geometry, and one evaluation per bound integral.
@@ -34,7 +34,7 @@ from scipy.special._ufuncs import _ncx2_sf
 from . import geometry
 from .geometry import DiscPpp
 from .model import HarvesterModel, NetworkConfig, sir_threshold
-from .quadrature import QuadratureSpec, integrate_adaptive, integrate_iterated
+from .quadrature import QuadratureSpec, integrate_iterated
 
 __all__ = [
     "JspEstimate",
@@ -255,23 +255,8 @@ def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
     return out
 
 
-def _i0_minus_one(u, log_k):
-    """e^{log_k} (I_0(2 sqrt(u)) - 1) = e^{log_k} sum_{n>=1} u^n/(n!)^2.
-
-    Below u = 1 the series is summed directly (17 terms reach double
-    precision), so the subtraction never cancels digits.
-    """
-    small = u < 1.0
-    term = total = np.where(small, u, 0.0)
-    for n in range(2, 18):
-        term = term * u / (n * n)
-        total = total + term
-    y = 2.0 * np.sqrt(np.where(small, 0.0, u))
-    return np.where(small, np.exp(log_k) * total, np.exp(log_k + y) * ive(0, y) - np.exp(log_k))
-
-
 class _BoundProblem:
-    """Count-summed integrands of the analytic bounds for one configuration.
+    """The count-summed placement integrand of every analytic bound for one configuration.
 
     The joint density of (d_1, d_K) with n = K - 2 points between them is
     C mu^n/n!, with mu = lambda pi (d_K^2 - d_1^2) and
@@ -289,60 +274,43 @@ class _BoundProblem:
         self.lam_pi = cfg.density * math.pi
         self.log_norm = -self.ppp.mean_count - math.log(self.ppp.prob_at_least_two)
 
-    def _joint(self, d1: np.ndarray, dk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, log C) at aligned (serving, farthest) nodes."""
+    def placement(self, d1, dk, d_e, d_s) -> np.ndarray:
+        """Integrand at aligned (serving, farthest) nodes with every interferer at
+        d_e for harvesting and at d_s for the SIR, both in [d_1, d_K]. The gain sum
+        z where both constraints meet splits the energy term, at rate
+        1 - (d_1/d_e)^alpha, from the SIR term, at rate 1 + beta (d_1/d_s)^alpha."""
+        beta, a = self.beta, self.alpha
+        mu = self.lam_pi * (dk - d1) * (dk + d1)
         with np.errstate(divide="ignore"):
             log_c = self.log_norm + np.log(4.0 * self.lam_pi**2 * d1 * dk)
-        return self.lam_pi * (dk - d1) * (dk + d1), log_c
+        z = self.scale / (beta * d_s**-a + d_e**-a)
+        # 1 - (d1/d_e)^alpha, accurate near the diagonal; +0.0 at d_e = d_1 (with
+        # -0.0 the energy term's log bound is NaN, and the term is dropped)
+        c_e = 0.0 - np.expm1(a * np.log(d1 / d_e))
+        return _term_sum(mu, z, c_e, log_c - self.scale * d1**a, beta * (d1 / d_s) ** a + 1.0, log_c)
 
-    def lower(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
-        """Worst placement: energy with interferers at d_K, SIR with them at d_1."""
-        beta, a = self.beta, self.alpha
-        mu, log_c = self._joint(d1, dk)
-        z = self.scale / (beta * d1**-a + dk**-a)
-        c1 = -np.expm1(a * np.log(d1 / dk))  # 1 - (d1/dk)^alpha, accurate near the diagonal
-        return _term_sum(mu, z, c1, log_c - self.scale * d1**a, beta + 1.0, log_c)
 
-    def upper(self, d1: np.ndarray, dk: np.ndarray) -> np.ndarray:
-        """Best placement: energy with interferers at d_1, SIR with them at d_K."""
-        beta, a = self.beta, self.alpha
-        mu, log_c = self._joint(d1, dk)
-        z = self.scale / (beta * dk**-a + d1**-a)
-        return _term_sum(mu, z, 0.0, log_c - self.scale * d1**a, beta * (d1 / dk) ** a + 1.0, log_c)
-
-    def saturated(self, r: np.ndarray) -> np.ndarray:
-        """Saturated-regime lower bound, everything referenced to the serving distance.
-
-        Here n = K - 1 >= 1 points lie beyond r, mu = lambda pi (R^2 - r^2), the
-        weight is e^{-m} lambda pi 2r mu^n/n! / P[K >= 2] and the Erlang shape
-        is n. With a = mu/(beta + 1) and x = scale r^alpha (= (beta + 1) z), the
-        gain term sum_{n>=1} a^n/n! Q(n, x) = e^a P[Poisson(a) > Poisson(x)]
-        = e^a ncx2.cdf(2a; 2, 2x), and the energy term is I_0(2 sqrt(a x)) - 1.
-        """
-        with np.errstate(divide="ignore"):
-            log_w = self.log_norm + np.log(2.0 * self.lam_pi * r)
-        a = self.lam_pi * (self.ppp.radius - r) * (self.ppp.radius + r) / (self.beta + 1.0)
-        x = self.scale * r**self.alpha
-        return (np.exp(log_w + a) * chndtr(2.0 * a, 2.0, 2.0 * x)
-                + _i0_minus_one(a * x, log_w - x))
+# Per bound integral, where every interferer sits for harvesting and for the SIR,
+# as indices into (d_1, d_K): the worst placement, the best, and the saturated one.
+_PLACEMENTS = {"lower": (1, 0), "upper": (0, 1), "saturated": (0, 0)}
 
 
 @functools.lru_cache(maxsize=4096)
 def _bound_integral(cfg_key: NetworkConfig, integral: str, spec: QuadratureSpec) -> tuple[float, float, bool]:
-    """(value, error, converged) of the "lower", "upper" or "saturated" integral.
-    No integral reads the circuit thresholds, so ``cfg_key`` has the default
-    harvester and linear and nonlinear columns share one evaluation."""
+    """(value, error, converged) of the "lower", "upper" or "saturated" integral of
+    the placement integrand, interferers as in ``_PLACEMENTS``. No integral reads
+    the circuit thresholds, so ``cfg_key`` has the default harvester and linear
+    and nonlinear columns share one evaluation."""
     problem = _BoundProblem(cfg_key)
-    points = _near_quantiles(problem.ppp, _SPLIT_QS)
-    if integral == "saturated":
-        res = integrate_adaptive(problem.saturated, 0.0, problem.ppp.radius, spec, points)
-    else:
-        def on_unit(d1: np.ndarray, u: np.ndarray) -> np.ndarray:  # d_K = d_1 + u (R - d_1)
-            span = problem.ppp.radius - d1
-            return getattr(problem, integral)(d1, d1 + u * span) * span
+    e, s = _PLACEMENTS[integral]
 
-        res = integrate_iterated(on_unit, 0.0, problem.ppp.radius, spec, points,
-                                 (*_INNER_U_SPLITS, 1.0 - _INNER_TAIL / problem.ppp.mean_count))
+    def on_unit(d1: np.ndarray, u: np.ndarray) -> np.ndarray:  # d_K = d_1 + u (R - d_1)
+        span = problem.ppp.radius - d1
+        nodes = (d1, d1 + u * span)
+        return problem.placement(*nodes, nodes[e], nodes[s]) * span
+
+    res = integrate_iterated(on_unit, 0.0, problem.ppp.radius, spec, _near_quantiles(problem.ppp, _SPLIT_QS),
+                             (*_INNER_U_SPLITS, 1.0 - _INNER_TAIL / problem.ppp.mean_count))
     return res.value, res.error, res.converged
 
 
@@ -366,13 +334,16 @@ def _bound(cfg: NetworkConfig, regime: str | None, spec: QuadratureSpec | None,
 
 def jsp_lower_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None) -> JspEstimate:
-    """Analytic lower bound of the JSP. By default the harvester's input-power
-    window picks the construction; ``regime`` (one of ``REGIMES``) forces one."""
+    """Analytic lower bound of the JSP: interferers at d_K for harvesting and at d_1
+    for the SIR, or at d_1 for both with ``regime="case_c"``. By default the
+    harvester's input-power window picks the construction; ``regime`` (one of
+    ``REGIMES``) forces one, and "case_a" gives 0."""
     return _bound(cfg, regime, spec, "lower")
 
 
 def jsp_upper_bound(cfg: NetworkConfig, regime: str | None = None,
                     spec: QuadratureSpec | None = None) -> JspEstimate:
-    """Analytic upper bound of the JSP. By default the harvester's input-power
-    window picks the construction; ``regime`` (one of ``REGIMES``) forces one."""
+    """Analytic upper bound of the JSP: interferers at d_1 for harvesting and at d_K
+    for the SIR. By default the harvester's input-power window picks the
+    construction; ``regime`` (one of ``REGIMES``) forces one, and "case_a" gives 0."""
     return _bound(cfg, regime, spec, "upper")

@@ -16,6 +16,10 @@ so the padded row sort of the sampler must match it bit for bit.
 way, both noncentral chi-square terms on every node, through the two sum
 helpers the library used before it learned to skip a term that cannot change
 the sum; the library's integrands must match it bit for bit.
+``saturated_integrand`` is the saturated lower bound's integrand in the
+serving distance alone, the form the library integrated before every bound
+became a placement of one (d_1, d_K) integrand; the library's (d_1, d_1)
+placement, integrated over d_K, must match it.
 ``integrate_iterated_adaptive`` is the iterated-integral driver the library
 used before its u rule was fixed: one adaptive inner drive over u per outer
 Kronrod round, on the library's Kronrod panels.
@@ -289,11 +293,13 @@ def _upper_gamma_sum(mu, c, z, log_k):
 
 
 def gamma_sum_integrand(problem, side: str, d1, dk) -> tuple[np.ndarray, np.ndarray]:
-    """(energy term, SIR term) of ``problem.lower`` or ``problem.upper`` at the
-    aligned nodes (d1, dk), each evaluated on every node; their sum A + B is
-    the integrand."""
+    """(energy term, SIR term) of ``problem.placement`` for the "lower" or
+    "upper" bound at the aligned nodes (d1, dk), each evaluated on every node;
+    their sum A + B is the integrand."""
     beta, a = problem.beta, problem.alpha
-    mu, log_c = problem._joint(d1, dk)
+    mu = problem.lam_pi * (dk - d1) * (dk + d1)
+    with np.errstate(divide="ignore"):
+        log_c = problem.log_norm + np.log(4.0 * problem.lam_pi**2 * d1 * dk)
     log_k = log_c - problem.scale * d1**a
     if side == "lower":
         z = problem.scale / (beta * d1**-a + dk**-a)
@@ -302,6 +308,38 @@ def gamma_sum_integrand(problem, side: str, d1, dk) -> tuple[np.ndarray, np.ndar
     z = problem.scale / (beta * dk**-a + d1**-a)
     return (_lower_gamma_sum(mu, 0.0, z, log_k),
             _upper_gamma_sum(mu, beta * (d1 / dk) ** a + 1.0, z, log_c))
+
+
+def _i0_minus_one(u, log_k):
+    """e^{log_k} (I_0(2 sqrt(u)) - 1) = e^{log_k} sum_{n>=1} u^n/(n!)^2.
+
+    Below u = 1 the series is summed directly (17 terms reach double
+    precision), so the subtraction never cancels digits.
+    """
+    small = u < 1.0
+    term = total = np.where(small, u, 0.0)
+    for n in range(2, 18):
+        term = term * u / (n * n)
+        total = total + term
+    y = 2.0 * np.sqrt(np.where(small, 0.0, u))
+    return np.where(small, np.exp(log_k) * total, np.exp(log_k + y) * ive(0, y) - np.exp(log_k))
+
+
+def saturated_integrand(problem, r: np.ndarray) -> np.ndarray:
+    """Saturated-regime lower bound, everything referenced to the serving distance.
+
+    Here n = K - 1 >= 1 points lie beyond r, mu = lambda pi (R^2 - r^2), the
+    weight is e^{-m} lambda pi 2r mu^n/n! / P[K >= 2] and the Erlang shape
+    is n. With a = mu/(beta + 1) and x = scale r^alpha (= (beta + 1) z), the
+    gain term sum_{n>=1} a^n/n! Q(n, x) = e^a P[Poisson(a) > Poisson(x)]
+    = e^a ncx2.cdf(2a; 2, 2x), and the energy term is I_0(2 sqrt(a x)) - 1.
+    """
+    with np.errstate(divide="ignore"):
+        log_w = problem.log_norm + np.log(2.0 * problem.lam_pi * r)
+    a = problem.lam_pi * (problem.ppp.radius - r) * (problem.ppp.radius + r) / (problem.beta + 1.0)
+    x = problem.scale * r**problem.alpha
+    return (np.exp(log_w + a) * chndtr(2.0 * a, 2.0, 2.0 * x)
+            + _i0_minus_one(a * x, log_w - x))
 
 
 def sample_batch_lexsort(ppp: DiscPpp, trials: int, rng) -> tuple[np.ndarray, ...]:

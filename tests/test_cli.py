@@ -6,7 +6,7 @@ import pytest
 
 from aoiharvest import experiments
 from aoiharvest.cli import main
-from aoiharvest.config import EXPERIMENT_NAMES, parse_config
+from aoiharvest.config import EXPERIMENT_NAMES, MAX_SLOTS, MAX_TRIALS, parse_config
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -102,12 +102,15 @@ def _axis(name, start, stop, step, unit=None):
     ("[network]\np_t = 1 2 W\n", "p_t", 2),
     ("[network]\np_t =\n", "p_t", 2),
     ("[network]\np_t = dB\n", "p_t", 2),
+    ("[experiment]\ntrials = 6000001\n", "trials", 2),  # past config.MAX_TRIALS
+    ("[queue]\nn_slots = 18000001\n", "n_slots", 2),  # past config.MAX_SLOTS
 ], ids=["pr_min_negative", "pr_min_above_pr_max", "radius_inf", "lambda_inf", "alpha_inf",
         "mean_count_overflow", "mean_count_overflow_on_radius", "mean_count_quantile_nan",
         "p_t_db_overflow", "xi_axis_reaches_1", "radius_axis_from_0", "radius_axis_mean_count",
         "mean_count_past_sampler_limit", "radius_axis_past_sampler_limit",
         "watt_axis_from_0", "db_axis_overflow", "pr_max_below_default_pr_min", "axis_too_long",
-        "p_t_unknown_unit", "p_t_two_numbers", "p_t_empty", "p_t_unit_only"])
+        "p_t_unknown_unit", "p_t_two_numbers", "p_t_empty", "p_t_unit_only",
+        "trials_past_memory_limit", "n_slots_past_memory_limit"])
 def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, text, key, line):
     cfg = write_cfg(tmp_path, text)
     assert main(["validate", cfg]) == 1
@@ -122,6 +125,7 @@ def test_bad_values_fail_validate_and_run_with_key_and_line(tmp_path, capsys, te
     ("--seed", "-1", "must be >= 0"),
     ("--trials", "0", "must be >= 1"),
     ("--trials", "-5", "must be >= 1"),
+    ("--trials", "6000001", "must be >= 1 and <= 6000000, the memory limit"),
     ("--seed", "1.5", "invalid int value: '1.5'"),
 ])
 def test_out_of_range_overrides_name_the_option(tmp_path, capsys, option, value, message):
@@ -141,6 +145,11 @@ def test_overrides_at_their_limits_accepted(tmp_path):
                  "--seed", "0", "--trials", "1"]) == 0
     meta = json.loads((out / "queue-path.csv.meta.json").read_text())
     assert (meta["seed"], meta["trials"]) == (0, 1)
+
+
+def test_count_limits_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, f"[experiment]\ntrials = {MAX_TRIALS}\n[queue]\nn_slots = {MAX_SLOTS}\n")
+    assert main(["validate", cfg]) == 0
 
 
 def test_unknown_experiment_exit_code(tmp_path, capsys):

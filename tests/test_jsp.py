@@ -17,7 +17,7 @@ from aoiharvest.jsp import (
     wilson_halfwidth,
 )
 from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
-from aoiharvest.quadrature import QuadratureSpec
+from aoiharvest.quadrature import QuadratureSpec, integrate_adaptive
 
 from oracles import (
     count_series_integrand,
@@ -25,6 +25,7 @@ from oracles import (
     integrate_iterated_adaptive,
     jsp_brute_force,
     placement_bound_mc,
+    saturated_integrand,
 )
 
 FAST_SPEC = QuadratureSpec(rel_tol=1e-5)
@@ -231,19 +232,56 @@ def _oracle_nodes(radius):
     return d1, dk, r
 
 
+def _placement(problem, side, d1, dk):
+    """``problem``'s integrand of the ``side`` bound at the aligned nodes (d1, dk)."""
+    e, s = jsp._PLACEMENTS[side]
+    return problem.placement(d1, dk, (d1, dk)[e], (d1, dk)[s])
+
+
 @pytest.mark.parametrize("radius", [20.0, 60.0, 200.0])
 @pytest.mark.parametrize("db", [0.0, 10.0, 20.0])
 def test_closed_form_integrands_match_count_series(radius, db):
+    """The saturated placement is integrated over d_K to meet the count series
+    in the serving distance alone."""
     cfg = NetworkConfig(radius=radius, p_t=db_to_watt(db))
     problem = jsp._BoundProblem(cfg)
     d1, dk, r = _oracle_nodes(radius)
-    pairs = [(problem.lower(d1, dk), count_series_integrand(cfg, "lower", d1, dk)),
-             (problem.upper(d1, dk), count_series_integrand(cfg, "upper", d1, dk)),
-             (problem.saturated(r), count_series_integrand(cfg, "saturated", r))]
+    spec = QuadratureSpec(rel_tol=1e-13, abs_tol=1e-300)
+    u_cuts = (*jsp._INNER_U_SPLITS, 1.0 - jsp._INNER_TAIL / problem.ppp.mean_count)
+
+    def saturated(r1):
+        span = radius - r1
+        f = lambda u: _placement(problem, "saturated", np.full(u.shape, r1), r1 + u * span) * span
+        return integrate_adaptive(f, 0.0, 1.0, spec, u_cuts).value
+
+    pairs = [(_placement(problem, "lower", d1, dk), count_series_integrand(cfg, "lower", d1, dk)),
+             (_placement(problem, "upper", d1, dk), count_series_integrand(cfg, "upper", d1, dk)),
+             (np.array([saturated(r1) for r1 in r]), count_series_integrand(cfg, "saturated", r))]
     for got, ref in pairs:
         big = ref > 1e-60
         np.testing.assert_allclose(got[big], ref[big], rtol=1e-10, atol=0.0)
         np.testing.assert_allclose(got[~big], ref[~big], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("radius,alpha,density,xi,db", [
+    (200.0, 3.0, 0.01, 0.1, 0.0),
+    (20.0, 3.0, 0.003, 0.4, 10.0),
+])
+def test_saturated_bound_matches_nearest_distance_form(radius, alpha, density, xi, db):
+    """Integrating the (d_1, d_1) placement over d_K is the old one-dimensional
+    saturated bound, kept as ``oracles.saturated_integrand``. Over 324
+    configurations (R in {20, 60, 100, 200} m, alpha in {2.5, 3, 4}, lambda in
+    {0.001, 0.003, 0.01}, xi in {0.1, 0.5, 0.9}, 0/10/20 dB) at four specs the
+    largest gap was 3.3e-12, at the first case above and at alpha = 4, 20 dB,
+    with no converged flip."""
+    cfg = NetworkConfig(radius=radius, alpha=alpha, density=density, xi=xi, p_t=db_to_watt(db))
+    problem = jsp._BoundProblem(cfg)
+    for spec in (QuadratureSpec(), XISTAR_SPEC):
+        est = jsp_lower_bound(cfg, regime="case_c", spec=spec)
+        want = integrate_adaptive(lambda r: saturated_integrand(problem, r), 0.0, radius, spec,
+                                  jsp._near_quantiles(problem.ppp, jsp._SPLIT_QS))
+        assert abs(est.value - want.value) <= 1e-11
+        assert est.converged == want.converged
 
 
 def test_upper_gamma_sum_matches_scipy_stats():
@@ -275,12 +313,12 @@ def kronrod_nodes():
                 for side in ("lower", "upper"):
                     calls = []
 
-                    def record(self, d1, dk, f=getattr(jsp._BoundProblem, side)):
-                        calls.append((d1, dk, f(self, d1, dk)))
+                    def record(self, d1, dk, d_e, d_s, f=jsp._BoundProblem.placement):
+                        calls.append((d1, dk, f(self, d1, dk, d_e, d_s)))
                         return calls[-1][2]
 
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(jsp._BoundProblem, side, record)
+                        mp.setattr(jsp._BoundProblem, "placement", record)
                         jsp._bound_integral.__wrapped__(cfg, side, QuadratureSpec())
                     d1, dk, value = (np.concatenate([c[i].ravel() for c in calls]) for i in range(3))
                     out.append((jsp._BoundProblem(cfg), side, d1, dk, value))
@@ -317,7 +355,8 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
     def evaluate():
         nodes.clear()
         for problem, side, d1, dk, value in kronrod_nodes:
-            np.testing.assert_array_equal(getattr(problem, side)(d1, dk).view(np.int64), value.view(np.int64))
+            np.testing.assert_array_equal(_placement(problem, side, d1, dk).view(np.int64),
+                                          value.view(np.int64))
         return nodes["_energy_term"] + nodes["_sir_term"]
 
     n_nodes = sum(d1.size for _, _, d1, _, _ in kronrod_nodes)
