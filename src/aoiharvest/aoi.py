@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import DISCIPLINES
+
 __all__ = [
     "QueueParams",
     "QueueTrace",
@@ -37,8 +39,6 @@ __all__ = [
     "residual_pmf",
     "InfiniteAgeError",
 ]
-
-DISCIPLINES = ("non_preemptive", "preemptive")
 
 
 class InfiniteAgeError(ValueError):

@@ -14,9 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from .config import (_HARVESTER, _NETWORK, _NON_NEGATIVE, _TRIALS, EXPERIMENT_NAMES, ConfigError, _power,
-                     parse_config)
-from .experiments import UnknownExperimentError, run_experiment
+from .config import _HARVESTER, _NETWORK, _NON_NEGATIVE, _QUEUE, _TRIALS, EXPERIMENT_NAMES, ConfigError, parse_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,13 +55,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if args.command == "validate":  # the settings as a config file, p_t in W
+    if args.command == "validate":  # the settings as config-file lines, p_t in W
         print(f"config ok: {args.config}")
-        for section, table, obj in (("network", _NETWORK, cfg), ("harvester", _HARVESTER, cfg.harvester)):
+        axis = {} if spec.sweep is None else {f"sweep_{k}": v for k, v in dataclasses.asdict(spec.sweep).items()}
+        sections = {
+            "network": {key: getattr(cfg, field) for key, (field, *_) in _NETWORK.items()},
+            "harvester": {key: getattr(cfg.harvester, field) for key, (field, *_) in _HARVESTER.items()},
+            "experiment": {"name": spec.name, "trials": spec.trials, "seed": spec.seed,
+                           "output_dir": spec.output_dir, **axis},
+            "queue": {key: getattr(spec.queue, field) for key, (field, *_) in _QUEUE.items()},
+        }
+        for section, entries in sections.items():
             print(f"[{section}]")
-            for key, (field, parse, *_) in table.items():
-                print(f"{key} = {getattr(obj, field)}{' W' if parse is _power else ''}")
-        print(f"[experiment]\nname = {spec.name}\ntrials = {spec.trials}\nseed = {spec.seed}")
+            for key, value in entries.items():
+                if value not in (None, ""):  # an unset queue mu or p_a, the unitless xi axis
+                    print(f"{key} = {value}{' W' if key == 'p_t' else ''}")
         return 0
 
     overrides = {}
@@ -79,6 +85,9 @@ def main(argv=None) -> int:
         overrides["trials"] = args.trials
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
+
+    # Imported here, not at the top: it loads NumPy and SciPy, which parsing does not need.
+    from .experiments import UnknownExperimentError, run_experiment
 
     try:
         paths = run_experiment(cfg, spec, plot=args.plot)

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .aoi import DISCIPLINES
-from .model import HarvesterModel, InvalidConfigError, NetworkConfig, db_to_watt
+from .model import DISCIPLINES, HarvesterModel, InvalidConfigError, NetworkConfig, db_to_watt
 
 __all__ = ["ConfigError", "SweepAxis", "QueueSettings", "ExperimentSpec",
            "parse_config", "EXPERIMENT_NAMES", "SWEEPS"]
@@ -140,8 +139,9 @@ def _power(text: str) -> float:
 
 
 # Largest trial count and queue length, on the ~1 GB budget of model.MAX_MEAN_COUNT. By
-# tracemalloc, run_experiment peaks near 145 bytes per trial (jsp-vs-radius at 1e5-1e6 trials:
-# jsp._geometry_sums keeps 8 geometries of 16 bytes a trial) and 55 per queue-path slot.
+# tracemalloc, run_experiment peaks near 35 bytes per trial (jsp-vs-radius, 9 radii at 1e5-4e5
+# trials: jsp._geometry_sums holds the live geometry's 16 bytes a trial while the next is drawn)
+# and 55 per queue-path slot. 6e6 trials take about 0.2 GB, a fifth of the budget.
 MAX_TRIALS = 6_000_000
 MAX_SLOTS = 18_000_000
 

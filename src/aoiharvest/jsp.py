@@ -15,8 +15,8 @@ ch. 29; Abramowitz and Stegun 9.6.10), under an adaptive d_1 integral with a
 fixed Kronrod rule in d_K; a term too small to change its node's sum is not
 evaluated.
 
-Sweep points share work through two bounded memo caches: one Monte Carlo draw
-per geometry, and one evaluation per bound integral.
+Sweep points share work through two bounded memo caches: the Monte Carlo draw
+of the last geometry, and one evaluation per bound integral.
 """
 
 from __future__ import annotations
@@ -81,7 +81,10 @@ def _count_events(cfg: NetworkConfig, beta: float, sums: np.ndarray) -> int:
     return int(np.count_nonzero(ok))
 
 
-@functools.lru_cache(maxsize=8)
+# One entry: a sweep reads only its live geometry (the linear and _nl columns of
+# a point share it, and so do all points of a power or xi sweep); an older
+# radius's sums would be 16 dead bytes per trial.
+@functools.lru_cache(maxsize=1)
 def _geometry_sums(ppp: DiscPpp, alpha: float, trials: int, seed: int) -> np.ndarray:
     """Read-only (2, trials) rows: per-trial serving term and total of g d^-alpha,
     drawn in fixed-size chunks on streams spawned from ``seed``."""

@@ -29,6 +29,10 @@ class InvalidConfigError(ValueError):
 # 26 kB per unit of m, and this limit keeps it near 1 GB.
 MAX_MEAN_COUNT = 4e4
 
+# Service disciplines of the Geo/Geo/1 link in aoi.py, defined here so that
+# config can check them without loading NumPy.
+DISCIPLINES = ("non_preemptive", "preemptive")
+
 
 @dataclass(frozen=True)
 class HarvesterModel:

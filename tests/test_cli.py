@@ -34,17 +34,30 @@ def test_validate_ok(tmp_path, capsys):
 
 
 def test_validate_prints_a_config_that_parses_back(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "[network]\nlambda = 0.004\np_t = 3 dB\nsigma = 20\n"
-                              "[harvester]\nmodel = Nonlinear\npr_min = 0.02\n"
-                              "[experiment]\nname = jsp-vs-xi\ntrials = 500\nseed = 7\n"
-                              "[queue]\nmu = 0.5\n")
-    assert main(["validate", cfg]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith(f"config ok: {cfg}\n")
-    assert "p_t = 1.9952623149688795 W\n" in out
-    net, spec = parse_config(write_cfg(tmp_path, out.split("\n", 1)[1], "printed.cfg"))
-    assert net == parse_config(cfg)[0] and net.harvester.kind == "nonlinear"
-    assert (spec.name, spec.trials, spec.seed) == ("jsp-vs-xi", 500, 7)
+    """Every setting round-trips: network, harvester, experiment with its
+    output directory and sweep axis, and the queue section."""
+    texts = [
+        "[network]\nlambda = 0.004\np_t = 3 dB\nsigma = 20\n[harvester]\nmodel = Nonlinear\npr_min = 0.02\n"
+        "[experiment]\nname = jsp-vs-xi\ntrials = 500\nseed = 7\noutput_dir = runs/xi\n"
+        "sweep_start = 0.1\nsweep_stop = 0.5\nsweep_step = 0.2\n[queue]\nmu = 0.5\n",
+        "[experiment]\nname = queue-path\noutput_dir = out\n"
+        "[queue]\ndiscipline = preemptive\nmu = 0.3\np_a = 0.5\nn_slots = 77\n",
+        "[experiment]\nname = jsp-vs-power\nsweep_start = 1\nsweep_stop = 3\nsweep_step = 0.5\nsweep_unit = w\n",
+        "",
+    ]
+    outs = []
+    for i, text in enumerate(texts):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", cfg]) == 0
+        outs.append(capsys.readouterr().out)
+        assert outs[-1].startswith(f"config ok: {cfg}\n")
+        printed = parse_config(write_cfg(tmp_path, outs[-1].split("\n", 1)[1], f"printed{i}.cfg"))
+        assert printed == parse_config(cfg), text
+    assert "p_t = 1.9952623149688795 W\n" in outs[0]
+    net, spec = parse_config(write_cfg(tmp_path, texts[0]))
+    assert net.p_t == 1.9952623149688795 and net.harvester.kind == "nonlinear"
+    assert (spec.name, spec.trials, spec.seed, str(spec.output_dir)) == ("jsp-vs-xi", 500, 7, "runs/xi")
+    assert spec.sweep is not None and spec.queue.mu == 0.5
 
 
 def test_validate_bad_config(tmp_path, capsys):

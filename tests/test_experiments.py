@@ -1,14 +1,16 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aoiharvest import experiments
+from aoiharvest import experiments, jsp
 from aoiharvest.aoi import QueueParams, simulate_queue
 from aoiharvest.cli import main
-from aoiharvest.config import SWEEPS
+from aoiharvest.config import SWEEPS, ExperimentSpec, SweepAxis
 from aoiharvest.experiments import SweepResult, write_csv
+from aoiharvest.model import NetworkConfig
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 3.0, -7.0, 0.1, 1 / 3, 2.5e-8]
 # integer-valued floats up to just below 1e16, where repr is still '%d.0'
@@ -134,3 +136,23 @@ def test_two_point_sweep_matches_recorded_values(tmp_path, name):
         got = list(csv.reader(fh))
     assert got[0] == header
     assert [[float(v) for v in row] for row in got[1:]] == [pytest.approx(row, rel=1e-9) for row in rows]
+
+
+def test_radius_sweep_holds_two_geometries_per_trial(tmp_path):
+    """config.MAX_TRIALS rests on this: a sweep keeps only its live geometry's
+    sums (16 bytes a trial) while it draws the next (16 more). Marginal
+    tracemalloc peak between 5e4 and 2e5 trials over five radii: about 34 bytes
+    a trial; a cache of every radius's sums read 82. Margin: 14 bytes."""
+    def peak(trials):
+        jsp._geometry_sums.cache_clear()
+        jsp._bound_integral.cache_clear()
+        spec = ExperimentSpec(name="jsp-vs-radius", trials=trials, output_dir=tmp_path,
+                              sweep=SweepAxis(20.0, 60.0, 10.0, "m"))
+        tracemalloc.start()
+        try:
+            experiments.run_experiment(NetworkConfig(), spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(200_000) - peak(50_000)) / 150_000 < 48.0

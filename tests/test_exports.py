@@ -46,6 +46,38 @@ def test_import_leaves_scipy_stats_unloaded(module):
     assert out.stdout.strip() == "[]"
 
 
+def test_lazy_exports_resolve_to_their_submodules():
+    assert set(aoiharvest.__all__) <= set(dir(aoiharvest))
+    jsp = importlib.import_module("aoiharvest.jsp")
+    assert aoiharvest.jsp_lower_bound is jsp.jsp_lower_bound
+    assert aoiharvest.NetworkConfig is importlib.import_module("aoiharvest.model").NetworkConfig
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        aoiharvest.no_such_name  # noqa: B018
+
+
+def test_parse_validate_and_list_load_no_numpy_or_scipy(tmp_path):
+    """Parsing and checking a config needs neither library: the CLI imports the
+    experiment runner only for `run`, and the package exports load lazily."""
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("[network]\np_t = 10 dB\nradius = 40\n[harvester]\nmodel = nonlinear\n"
+                   "[experiment]\nname = jsp-vs-radius\nsweep_start = 20\nsweep_stop = 40\nsweep_step = 20\n"
+                   "[queue]\nmu = 0.3\ndiscipline = preemptive\n", encoding="utf-8")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[network]\nxi = 1.5\n", encoding="utf-8")
+    code = "\n".join([
+        "import sys",
+        "import aoiharvest.cli as cli",
+        f"cli.parse_config({str(cfg)!r})",
+        f"assert cli.main(['validate', {str(cfg)!r}]) == 0",
+        f"assert cli.main(['validate', {str(bad)!r}]) == 1",
+        "assert cli.main(['list-experiments']) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(aoiharvest.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_perfbench_reference_script_imports():
     """perfbench/make_reference.py imports ``select_regime``, passes ``regime=``
     and ``QuadratureSpec(series_mass=)``: the package keeps them, unexported,
