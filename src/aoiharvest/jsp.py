@@ -12,8 +12,8 @@ Erlang variable. The sum over the count then closes into noncentral
 chi-square or modified Bessel functions, at most one per term of a node
 (Johnson, Kotz and Balakrishnan, Continuous Univariate Distributions vol. 2,
 ch. 29; Abramowitz and Stegun 9.6.10), under an adaptive d_1 integral with a
-fixed Kronrod rule in d_K; a term too small to change its node's sum is not
-evaluated.
+fixed Kronrod rule in d_K. A term too small to change its node's sum is not
+evaluated, nor a probability whose complement is too small to change it.
 
 Sweep points share work through two bounded memo caches: the Monte Carlo draw
 of the last geometry, and one evaluation per bound integral.
@@ -36,12 +36,7 @@ from .geometry import DiscPpp
 from .model import HarvesterModel, NetworkConfig, sir_threshold
 from .quadrature import QuadratureSpec, integrate_iterated
 
-__all__ = [
-    "JspEstimate",
-    "jsp_monte_carlo",
-    "jsp_lower_bound",
-    "jsp_upper_bound",
-]
+__all__ = ["JspEstimate", "jsp_monte_carlo", "jsp_lower_bound", "jsp_upper_bound"]
 
 REGIMES = ("linear", "case_a", "case_b", "case_c")
 
@@ -157,12 +152,34 @@ _INNER_U_SPLITS = (0.5, 0.9, 0.99)
 _INNER_TAIL = 10.0
 
 
+# Each bound integrand is an energy term plus an SIR term. Where one of them is
+# below 2^-56 of the other it cannot change the sum: half an ulp of v exceeds
+# 2^-54 v, and the factor of 4 left over covers Boost's error. So, too, 1 - q is
+# 1.0 for q <= 2^-54: a probability whose complement is below 2^-56 is 1.0. A term
+# below e^-748 rounds to zero on its own, whatever the subnormal steps on its way.
+_LOG_SKIP = 56.0 * math.log(2.0)
+_LOG_UNDERFLOW = -748.0
+
+
+def _negligible_tail(x, nc, upper):
+    """Where the Chernoff bound of ``_log_term_bounds``, -s x + nc s u + log u =
+    (u - 1)(nc - 1 - q)/2 + log u, puts the upper (u > 1, so x > 2 + nc, the
+    mean) or lower tail of ncx2(2, nc) at x below 2^-56: the other tail's
+    probability is then 1.0. NaN (x = inf) never passes; at x = 0 the CDF is 0."""
+    q = np.sqrt(1.0 + nc * x)
+    u = x / (1.0 + q)
+    with np.errstate(divide="ignore"):
+        small = 0.5 * (u - 1.0) * (nc - 1.0 - q) + np.log(u) < -_LOG_SKIP
+    return small & (u > 1.0 if upper else u < 1.0)
+
+
 def _energy_term(mu, c, z, log_k):
     """e^{log_k} sum_{n>=0} mu^n/n! erlang_lower(n + 1, c, z), elementwise, c >= 0.
 
-    Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c). Below c z = 1e-12 it
-    takes the c -> 0 limit sum mu^n z^{n+1}/(n!(n+1)!) = sqrt(z/mu) I_1(2 sqrt(mu z)),
-    whose relative distance to the exact sum is about c z.
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c), with a CDF of 1.0 and
+    no Boost call where ``_negligible_tail`` bounds the survival function. Below
+    c z = 1e-12 it takes the c -> 0 limit sum mu^n z^{n+1}/(n!(n+1)!) =
+    sqrt(z/mu) I_1(2 sqrt(mu z)), whose relative distance to the exact sum is about c z.
     """
     mu, c, z, log_k = np.broadcast_arrays(mu, c, z, log_k)
     out = np.empty(z.shape)
@@ -173,39 +190,35 @@ def _energy_term(mu, c, z, log_k):
     out[lim] = np.exp(log_k[lim] + y) * z[lim] * i1_ratio
     gam = ~lim
     a = mu[gam] / c[gam]
-    out[gam] = np.exp(log_k[gam] + a) / c[gam] * chndtr(2.0 * c[gam] * z[gam], 2.0, 2.0 * a)
+    x, nc = 2.0 * c[gam] * z[gam], 2.0 * a
+    cdf = np.ones(x.shape)
+    call = ~_negligible_tail(x, nc, upper=True)
+    cdf[call] = chndtr(x[call], 2.0, nc[call])
+    out[gam] = np.exp(log_k[gam] + a) / c[gam] * cdf
     return out
 
 
 def _sir_term(mu, c, z, log_k):
     """e^{log_k} sum_{n>=0} mu^n/n! erlang_upper(n + 1, c, z), elementwise, c > 0.
 
-    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c), with one Boost call
-    per node where it can. At x >= mean + 1.1 sd (mean 2 + nc, variance
-    4 (1 + nc)) Cantelli's inequality puts the survival function below 1/2.21,
-    so it is called alone. Elsewhere 1 - CDF is taken, which has full relative
-    precision where it is at least 1/2; the direct survival function is called
-    only where it is not, because it raises at tiny x once nc nears 700.
+    Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c), with at most one
+    Boost call per node where it can. At x >= mean + 1.1 sd (mean 2 + nc,
+    variance 4 (1 + nc)) Cantelli's inequality puts the survival function below
+    1/2.21, so it is called alone. Elsewhere it is 1 - CDF, which has full
+    relative precision where it is at least 1/2, and 1.0 without a call where
+    ``_negligible_tail`` bounds the CDF; the direct survival function is called
+    only where 1 - CDF is below 1/2, because it raises at tiny x once nc nears 700.
     """
     a = mu / c
     x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
-    sf = np.empty(x.shape)
+    sf = np.ones(x.shape)
     direct = x >= 2.0 + nc + 2.2 * np.sqrt(1.0 + nc)
     sf[direct] = _ncx2_sf(x[direct], 2.0, nc[direct])
-    x, nc = x[~direct], nc[~direct]
-    band = 1.0 - chndtr(x, 2.0, nc)
-    low = band < 0.5
-    band[low] = _ncx2_sf(x[low], 2.0, nc[low])
-    sf[~direct] = band
+    band = ~direct & ~_negligible_tail(x, nc, upper=False)
+    sf[band] = 1.0 - chndtr(x[band], 2.0, nc[band])
+    low = band & (sf < 0.5)
+    sf[low] = _ncx2_sf(x[low], 2.0, nc[low])
     return np.exp(log_k + a) / c * sf
-
-
-# Each bound integrand is an energy term plus an SIR term. Where one of them is
-# below 2^-56 of the other it cannot change the sum: half an ulp of v exceeds
-# 2^-54 v, and the factor of 4 left over covers Boost's error. A term below
-# e^-748 rounds to zero on its own, whatever the subnormal steps on its way.
-_LOG_SKIP = 56.0 * math.log(2.0)
-_LOG_UNDERFLOW = -748.0
 
 
 def _log_term_bounds(mu, z, c_e, log_k_e, c_s, log_k_s):
@@ -216,7 +229,8 @@ def _log_term_bounds(mu, z, c_e, log_k_e, c_s, log_k_s):
     chi-square probability at x = 2cz with nc = 2mu/c. The Chernoff bound
     (Chernoff 1952) at its optimum, u = x/(1 + q) with q = sqrt(1 + nc x) and
     s = (1 - 1/u)/2, is -s x + nc s u + log u; it bounds the CDF where u < 1
-    and the survival function where u > 1. Added to the prefactor it reads
+    and the survival function where u > 1 (``_negligible_tail`` reads it on the
+    other side of u = 1, to set a probability to 1). Added to the prefactor it reads
     log_k + 2 mu z/(1 + q) + (1 + q)/2 - c z + log(2z/(1 + q)), with
     nc x = 4 mu z, which stays finite at c = 0. The probability is capped at 1.
     """

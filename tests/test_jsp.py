@@ -284,21 +284,58 @@ def test_saturated_bound_matches_nearest_distance_form(radius, alpha, density, x
         assert est.converged == want.converged
 
 
-def test_upper_gamma_sum_matches_scipy_stats():
+def _chndtr_elements(monkeypatch):
+    """A counter of the elements ``jsp`` hands ``chndtr`` from now on."""
+    calls = collections.Counter()
+
+    def counted(x, df, nc, _fn=jsp.chndtr):
+        calls["chndtr"] += x.size
+        return _fn(x, df, nc)
+    monkeypatch.setattr(jsp, "chndtr", counted)
+    return calls
+
+
+def test_upper_gamma_sum_matches_scipy_stats(monkeypatch):
     """Where 1 - CDF is below 1/2 the survival function is the private ufunc
-    behind ``stats.ncx2.sf``; it must give the same bits (mu > 0, so nc > 0)."""
+    behind ``stats.ncx2.sf``; it must give the same bits (mu > 0, so nc > 0).
+    Where the Chernoff bound puts the CDF below 2^-56, 1.0 stands for 1 - CDF
+    without a Boost call; on this set that covers over a tenth of the elements."""
     rng = np.random.default_rng(7)
     n = 200_000
     c = 10.0 ** rng.uniform(-2.0, 1.5, n)
     mu = 10.0 ** rng.uniform(-6.0, 2.8, n) * c  # mu/c below e^709
     z = 10.0 ** rng.uniform(-6.0, 3.0, n) / c
+    z[:100] = 0.0  # u = 0 and a log bound of -inf: the CDF is exactly 0
     a = mu / c
     x, nc = 2.0 * c * z, 2.0 * a
     sf = 1.0 - chndtr(x, 2.0, nc)
     direct = sf < 0.5
     sf[direct] = stats.ncx2.sf(x[direct], 2.0, nc[direct])
     assert np.count_nonzero(direct) > 50_000
+    calls = _chndtr_elements(monkeypatch)
     np.testing.assert_array_equal(jsp._sir_term(mu, c, z, 0.0), np.exp(a) / c * sf)
+    band = np.count_nonzero(x < 2.0 + nc + 2.2 * np.sqrt(1.0 + nc))
+    assert band - calls["chndtr"] > n // 10
+
+
+def test_lower_gamma_sum_matches_chndtr(monkeypatch):
+    """Where the Chernoff bound puts the survival function below 2^-56, 1.0
+    stands for the CDF without a Boost call; it must give the bits of
+    ``chndtr``. nc reaches 1,400 and x reaches 140 times that, so the skip
+    covers over a quarter of the elements. Edge elements: mu = 0 and nc -> 0."""
+    rng = np.random.default_rng(8)
+    n = 200_000
+    c = 10.0 ** rng.uniform(-2.0, 1.5, n)
+    a = 10.0 ** rng.uniform(-6.0, np.log10(700.0), n)  # e^a / c below the overflow
+    mu = a * c
+    mu[:100], mu[100:200] = 0.0, 1e-300 * c[100:200]
+    z = 10.0 ** rng.uniform(-4.0, 5.0, n) / c  # c z >= 1e-4: never the Bessel limit
+    a = mu / c
+    calls = _chndtr_elements(monkeypatch)
+    got = jsp._energy_term(mu, c, z, 0.0)
+    assert calls["chndtr"] < 0.75 * n
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  (np.exp(a) / c * chndtr(2.0 * c * z, 2.0, 2.0 * a)).view(np.int64))
 
 
 @pytest.fixture(scope="module")
@@ -336,10 +373,12 @@ def test_bound_integrands_match_gamma_sum_oracle(kronrod_nodes):
 
 def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
     """Over the Kronrod nodes above, terms are skipped both for underflow and
-    for being below half an ulp of the other term, and the SIR term's survival
-    function is called alone (x >= mean + 1.1 sd) as well as after 1 - CDF.
-    Each evaluated term costs one Boost call; every call beyond that is the
-    survival function after 1 - CDF came out below 1/2."""
+    for being below half an ulp of the other term, both terms skip Boost where
+    the complementary tail of their probability is below 2^-56, and the SIR
+    term's survival function is called alone (x >= mean + 1.1 sd) as well as
+    after 1 - CDF. Each evaluated term costs one Boost call, none where its tail
+    is skipped; every call beyond that is the survival function after 1 - CDF
+    came out below 1/2. Without the tail skip every node keeps its bits."""
     nodes = collections.Counter()
 
     def count(name, size_of):
@@ -352,6 +391,12 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
         count(name, lambda args: args[0].size)
     count("ive", lambda args: args[1].size)
 
+    def tail(x, nc, upper, _fn=jsp._negligible_tail):
+        out = _fn(x, nc, upper)
+        nodes["upper_tail" if upper else "lower_tail"] += np.count_nonzero(out)
+        return out
+    monkeypatch.setattr(jsp, "_negligible_tail", tail)
+
     def evaluate():
         nodes.clear()
         for problem, side, d1, dk, value in kronrod_nodes:
@@ -361,8 +406,14 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
 
     n_nodes = sum(d1.size for _, _, d1, _, _ in kronrod_nodes)
     skipping = evaluate()
-    fallback = nodes["chndtr"] + nodes["ive"] + nodes["_ncx2_sf"] - skipping
+    tail_skips, chndtr_calls = nodes["upper_tail"] + nodes["lower_tail"], nodes["chndtr"]
+    assert nodes["upper_tail"] > 0 and nodes["lower_tail"] > 0
+    fallback = chndtr_calls + nodes["ive"] + nodes["_ncx2_sf"] - (skipping - tail_skips)
     assert fallback > 0 and nodes["_ncx2_sf"] - fallback > 0
+    with monkeypatch.context() as m:
+        m.setattr(jsp, "_negligible_tail", lambda x, nc, upper: np.zeros(x.shape, bool))
+        assert evaluate() == skipping
+        assert nodes["chndtr"] == chndtr_calls + tail_skips
     with monkeypatch.context() as m:
         m.setattr(jsp, "_LOG_SKIP", np.inf)
         without_ulp_skip = evaluate()
