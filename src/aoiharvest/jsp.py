@@ -12,8 +12,10 @@ Erlang variable. The sum over the count then closes into noncentral
 chi-square or modified Bessel functions, at most one per term of a node
 (Johnson, Kotz and Balakrishnan, Continuous Univariate Distributions vol. 2,
 ch. 29; Abramowitz and Stegun 9.6.10), under an adaptive d_1 integral with a
-fixed Kronrod rule in d_K. A term too small to change its node's sum is not
-evaluated, nor a probability whose complement is too small to change it.
+fixed Kronrod rule in d_K. A node below 2^-56 of the largest on its inner d_K
+sum is 0 without a Boost call; elsewhere a term too small to change its node's
+sum is not evaluated, nor a probability whose complement is too small to
+change it.
 
 Sweep points share work through two bounded memo caches: the Monte Carlo draw
 of the last geometry, and one evaluation per bound integral.
@@ -157,6 +159,9 @@ _INNER_TAIL = 10.0
 # 2^-54 v, and the factor of 4 left over covers Boost's error. So, too, 1 - q is
 # 1.0 for q <= 2^-54: a probability whose complement is below 2^-56 is 1.0. A term
 # below e^-748 rounds to zero on its own, whatever the subnormal steps on its way.
+# A node below 2^-56 of another node of its inner u sum is dropped: it weighs
+# 2^-56 times the ratio of their Kronrod weights in that sum, and over 1,296
+# bounds (tests/test_jsp.py) it moved none by more than 7.8e-16 relative.
 _LOG_SKIP = 56.0 * math.log(2.0)
 _LOG_UNDERFLOW = -748.0
 
@@ -249,10 +254,15 @@ def _log_term_bounds(mu, z, c_e, log_k_e, c_s, log_k_s):
 
 def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
     """``_energy_term(mu, c_e, z, log_k_e) + _sir_term(mu, c_s, z, log_k_s)``
-    bit for bit, without evaluating a term that cannot change the sum.
+    bit for bit, or 0 where that sum is below 2^-56 of its column's peak,
+    without evaluating a term that cannot change the result.
 
-    The term with the larger log bound goes first, where that bound reaches
-    e^-748; the other is added only where its bound reaches both e^-748 and
+    A column (u down axis 0; a 1-D call is one column) feeds one inner u sum.
+    At each node the term with the larger log bound goes first. It is evaluated
+    first at the column's node with the largest such bound, where that bound
+    reaches e^-748; 2^-56 of that value is the column floor. A node whose first
+    bound is below the column floor is 0. At the others the first term is
+    evaluated, and the other is added where its bound reaches both e^-748 and
     2^-56 of the first term's value.
     """
     mu, z, c_e, log_k_e, c_s, log_k_s = np.broadcast_arrays(mu, z, c_e, log_k_e, c_s, log_k_s)
@@ -263,12 +273,22 @@ def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
         out[where] += term(mu[where], c[where], z[where], log_k[where])
 
     energy_first = bound_e >= bound_s
-    add(_energy_term, c_e, log_k_e, energy_first & (bound_e >= _LOG_UNDERFLOW))
-    add(_sir_term, c_s, log_k_s, ~energy_first & (bound_s >= _LOG_UNDERFLOW))
+    first = np.where(energy_first, bound_e, bound_s)
+
+    def add_first(where):
+        add(_energy_term, c_e, log_k_e, where & energy_first)
+        add(_sir_term, c_s, log_k_s, where & ~energy_first)
+
+    top = np.zeros(mu.shape, bool)  # a NaN bound must not take a column's argmax
+    np.put_along_axis(top, np.argmax(np.where(np.isnan(first), -np.inf, first), axis=0, keepdims=True),
+                      True, axis=0)
+    add_first(top & (first >= _LOG_UNDERFLOW))
     with np.errstate(divide="ignore"):
+        kept = first >= np.maximum(np.log(out.max(axis=0)) - _LOG_SKIP, _LOG_UNDERFLOW)
+        add_first(kept & ~top)
         floor = np.maximum(np.log(out) - _LOG_SKIP, _LOG_UNDERFLOW)
-    add(_energy_term, c_e, log_k_e, ~energy_first & (bound_e >= floor))
-    add(_sir_term, c_s, log_k_s, energy_first & (bound_s >= floor))
+    add(_energy_term, c_e, log_k_e, kept & ~energy_first & (bound_e >= floor))
+    add(_sir_term, c_s, log_k_s, kept & energy_first & (bound_s >= floor))
     return out
 
 

@@ -1,12 +1,15 @@
-"""Assemble BENCH_<label>.json from perfbench's untraced results, or compare two
-checkouts' results pair by pair.
+"""Assemble BENCH_<label>.json from perfbench's untraced results, compare two
+checkouts' results pair by pair, or time every CLI experiment and the Tier-1
+suite into the same files.
 
     python3 tools/bench_file.py LABEL [CHECKOUT]
     python3 tools/bench_file.py compare PARENT_CHECKOUT
+    python3 tools/bench_file.py cli RUNS LABEL=CHECKOUT [LABEL=CHECKOUT ...]
 
 Reads CHECKOUT/.bench_out/results/<workload>-s<seed>-t0.json (CHECKOUT is the
-checkout perfbench ran in, by default this one) and writes BENCH_<label>.json
-at the root of this repository. Per workload it holds the median and
+checkout perfbench ran in, by default this one) and writes one entry per
+workload into BENCH_<label>.json at the root of this repository, keeping the
+file's other keys. Each entry holds the median and
 quartiles (inclusive method) over runs, one run per seed, of each end-to-end
 metric; failed/attempted output rows; and the first run's provenance.
 
@@ -16,15 +19,33 @@ many of the pairs (runs of one seed on both sides) the change won, ties
 counting for neither side. ``gain`` marks a metric where the change won at
 least nine tenths of the pairs and the medians differ by more than the
 parent's q3 - q1.
+
+``cli`` runs ``python -m aoiharvest.cli run`` on an empty config for each
+experiment that ``list-experiments`` names, RUNS times per checkout in fresh
+processes, the checkouts taking turns and swapping order from one run to the
+next. It records the checkout's git SHA, the median and quartiles of each
+process's wall time and of its own peak RSS (``os.wait4``; RUSAGE_CHILDREN
+would be the maximum over all children so far), and the SHA-256 of each file
+the first run wrote. Then it runs the Tier-1 suite once per checkout and
+records its wall time and the counts of its summary line. Both go under the
+keys "cli" and "tier1" of BENCH_<label>.json, whose other keys stay as they
+are.
 """
 
+import hashlib
 import json
+import os
+import re
 import statistics
+import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def runs(checkout: Path) -> dict[str, list[dict]]:
@@ -71,9 +92,68 @@ def compare(parent: Path) -> None:
                   f"change {cm:.4g} ({c1:.4g}-{c3:.4g})  won {won}/{len(seeds)}{'  gain' if gain else ''}")
 
 
+def _timed(args: list[str], checkout: Path, check: bool = True, **kwargs) -> tuple[float, float, str]:
+    """(wall s, the process's own peak RSS in MB, stdout) of one child run in CHECKOUT."""
+    env = {k: v for k, v in os.environ.items() if k != "AOI_EH_THREADS"}
+    t0 = time.perf_counter()
+    with subprocess.Popen([sys.executable, *args], cwd=checkout, env={**env, "PYTHONPATH": str(checkout / "src")},
+                          stdout=subprocess.PIPE, text=True, **kwargs) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if check and proc.returncode != 0:
+        raise SystemExit(f"{checkout}: {' '.join(args)} exited {proc.returncode}")
+    return wall, usage.ru_maxrss / 1024.0, out
+
+
+def cli(runs: int, sides: dict[str, Path]) -> dict[str, dict]:
+    """The "cli" and "tier1" entries of each side's BENCH file."""
+    times = {label: {} for label in sides}
+    outputs = {label: {} for label in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "empty.toml"
+        config.write_text("", encoding="utf-8")
+        for i in range(runs):
+            for label, checkout in (list(sides.items())[::-1] if i % 2 else sides.items()):
+                for name in _timed(["-m", "aoiharvest.cli", "list-experiments"], checkout)[2].split():
+                    out_dir = Path(tmp) / f"{label}-{i}"
+                    wall, rss, _ = _timed(["-m", "aoiharvest.cli", "run", str(config), "--experiment", name,
+                                           "--out", str(out_dir)], checkout, stderr=subprocess.DEVNULL)
+                    times[label].setdefault(name, []).append((wall, rss))
+                if i == 0:
+                    outputs[label] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                      for p in sorted(out_dir.iterdir())}
+    out = {}
+    for label, checkout in sides.items():
+        entry = {}
+        for name, pairs in times[label].items():
+            entry[name] = {key: dict(zip(("q1", "median", "q3"), quartiles([p[k] for p in pairs])))
+                           for k, key in enumerate(("wall_s", "peak_rss_mb"))}
+        wall, _, summary = _timed(TIER1, checkout, check=False)
+        counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|errors?|skipped|xfailed|xpassed)",
+                                                          summary.strip().splitlines()[-1])}
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True).stdout
+        out[label] = {"cli": {"runs": runs, "git_sha": sha.strip() or None, **entry,
+                              "outputs_sha256": outputs[label]},
+                      "tier1": {"wall_s": wall, **counts}}
+    return out
+
+
+def write(label: str, entries: dict) -> None:
+    """Update BENCH_<label>.json at the root of this repository with ``entries``."""
+    path = ROOT / f"BENCH_{label}.json"
+    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    path.write_text(json.dumps({**data, **entries}, indent=1) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
     if sys.argv[1] == "compare":
         compare(Path(sys.argv[2]))
+    elif sys.argv[1] == "cli":
+        sides = dict(arg.split("=", 1) for arg in sys.argv[3:])
+        for label, entries in cli(int(sys.argv[2]), {k: Path(v).resolve() for k, v in sides.items()}).items():
+            write(label, entries)
     else:
         label, checkout = sys.argv[1], Path(sys.argv[2] if len(sys.argv) > 2 else ROOT)
-        (ROOT / f"BENCH_{label}.json").write_text(json.dumps(bench(checkout), indent=1) + "\n", encoding="utf-8")
+        write(label, bench(checkout))
