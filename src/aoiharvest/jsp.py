@@ -259,8 +259,8 @@ def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
 
     A column (u down axis 0; a 1-D call is one column) feeds one inner u sum.
     At each node the term with the larger log bound goes first. It is evaluated
-    first at the column's node with the largest such bound, where that bound
-    reaches e^-748; 2^-56 of that value is the column floor. A node whose first
+    first at the column's top, where that bound is largest, if it reaches
+    e^-748; 2^-56 of the value there is the column floor. A node whose first
     bound is below the column floor is 0. At the others the first term is
     evaluated, and the other is added where its bound reaches both e^-748 and
     2^-56 of the first term's value.
@@ -279,9 +279,7 @@ def _term_sum(mu, z, c_e, log_k_e, c_s, log_k_s):
         add(_energy_term, c_e, log_k_e, where & energy_first)
         add(_sir_term, c_s, log_k_s, where & ~energy_first)
 
-    top = np.zeros(mu.shape, bool)  # a NaN bound must not take a column's argmax
-    np.put_along_axis(top, np.argmax(np.where(np.isnan(first), -np.inf, first), axis=0, keepdims=True),
-                      True, axis=0)
+    top = first == np.fmax.reduce(first, axis=0)  # fmax: a NaN bound must not hide a column's top
     add_first(top & (first >= _LOG_UNDERFLOW))
     with np.errstate(divide="ignore"):
         kept = first >= np.maximum(np.log(out.max(axis=0)) - _LOG_SKIP, _LOG_UNDERFLOW)
