@@ -122,7 +122,7 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     success_slots = np.flatnonzero(rng.random(n) < params.mu) + 1
     # Arrivals in [0, s - 1] for each success slot s; the count also indexes
     # arrival_slots, which turns "first arrival at or after t" into a lookup.
-    arrived = np.cumsum(arrivals)[success_slots - 1]
+    arrived = np.cumsum(arrivals, dtype=np.int32)[success_slots - 1]  # n < 2^31 (config.MAX_SLOTS)
     delivered = arrived > _previous(arrived)
     delivery_slots = success_slots[delivered]
     arrived = arrived[delivered]
@@ -140,11 +140,13 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     peaks = reset_age[:-1] + interarrivals + service_times
 
     if record_path:
-        # Slot s (1-based) ages from the last delivery strictly before it.
-        resets = np.zeros(n, dtype=np.int64)
-        resets[delivery_slots[delivery_slots < n]] = 1
-        aoi_path = (reset_age - np.concatenate(([0], delivery_slots)))[np.cumsum(resets, out=resets)]
-        aoi_path += np.arange(1, n + 1)
+        # A running sum of steps: 2 in slot 1, then +1 a slot, except that the
+        # slot after a delivery d < n drops to the delivered packet's age + 1.
+        aoi_path = np.ones(n, dtype=np.int64)
+        aoi_path[0] = 2
+        inner = delivery_slots < n
+        aoi_path[delivery_slots[inner]] = (np.diff(reset_age) - delivery_slots + prev_delivery + 1)[inner]
+        np.cumsum(aoi_path, out=aoi_path)
         if not np.array_equal(peaks, aoi_path[delivery_slots - 1]):
             raise RuntimeError("AoI accounting mismatch between staircase and components")
     else:

@@ -141,7 +141,7 @@ def _power(text: str) -> float:
 # Largest trial count and queue length, on the ~1 GB budget of model.MAX_MEAN_COUNT. By
 # tracemalloc, run_experiment peaks near 35 bytes per trial (jsp-vs-radius, 9 radii at 1e5-4e5
 # trials: jsp._geometry_sums holds the live geometry's 16 bytes a trial while the next is drawn)
-# and 55 per queue-path slot. 6e6 trials take about 0.2 GB, a fifth of the budget.
+# and 34 per queue-path slot (2e5-1e6 slots). 6e6 trials take about 0.2 GB, a fifth of the budget.
 MAX_TRIALS = 6_000_000
 MAX_SLOTS = 18_000_000
 

@@ -42,48 +42,56 @@ class SweepResult:
 _CSV_CHUNK_ROWS = 65_536
 
 
-def _cells(col: np.ndarray) -> np.ndarray:
-    """``repr`` of each value of a 1-D chunk as the rows of a NUL-padded ASCII
-    byte matrix. A float64 chunk whose values are all integers below 1e16 in
-    magnitude, whose ``repr`` is ``'%d.0'``, is written by digit arithmetic;
-    any other chunk (NaN, inf, fractions, 1e16 and up, integer dtypes) by
-    ``repr`` itself."""
+def _digit_words() -> np.ndarray:
+    """Word i < 10^4 is i as four zero-padded ASCII digits, word 10^4 + i the
+    same with its leading zeros NUL, word 2 * 10^4 four NULs."""
+    v = np.arange(10_000, dtype=np.uint16)[:, None]
+    digits = (v // np.array([1000, 100, 10, 1], np.uint16) % 10).astype(np.uint8) + ord("0")
+    nul_led = np.where(v < np.array([1000, 100, 10, 0], np.uint16), np.uint8(0), digits)
+    return np.concatenate([digits, nul_led, np.zeros((1, 4), np.uint8)]).view(np.uint32).ravel()
+
+
+_DIGIT_WORDS = _digit_words()
+
+
+def _cells(col: np.ndarray, end: str) -> tuple[bool, int] | np.ndarray:
+    """A float64 chunk whose values are all integers below 1e16 in magnitude
+    (``repr`` ``'%d.0'``) gives (any sign bit set, its 4-digit groups); any
+    other chunk (NaN, inf, fractions, 1e16 and up, integer dtypes) gives
+    ``repr`` of each value followed by ``end`` as rows of NUL-padded words."""
     if col.dtype == np.float64 and np.all((col == np.trunc(col)) & (np.abs(col) < 1e16)):
+        return bool(np.signbit(col).any()), -(-len(str(int(np.abs(col).max()))) // 4)
+    cells = [repr(v) + end for v in col.tolist()]
+    return np.array(cells, f"S{-(-max(map(len, cells)) // 4) * 4}").view(np.uint32).reshape(len(cells), -1)
+
+
+def _csv_rows(chunk: list[np.ndarray]) -> bytes:
+    """CSV rows of equal-length column chunks (cells joined by ``,``, rows ended
+    by ``\\r\\n``), filled as 4-byte words into one matrix whose NULs are dropped."""
+    ends = [","] * (len(chunk) - 1) + ["\r\n"]
+    cells = [_cells(c, end) for c, end in zip(chunk, ends)]
+    ats = np.cumsum([0] + [c.shape[1] if isinstance(c, np.ndarray) else sum(c) + 1 for c in cells])
+    rows = np.empty((len(chunk[0]), ats[-1]), np.uint32)
+    for col, end, c, at, to in zip(chunk, ends, cells, ats, ats[1:]):
+        if isinstance(c, np.ndarray):
+            rows[:, at:to] = c
+            continue
+        if c[0]:  # so -0.0 stays "-0.0"
+            rows[:, at] = np.signbit(col) * np.array("-", "S4").view(np.uint32)
         q = np.abs(col)
-        n_digits = len(str(int(q.max())))
-        cells = np.zeros((len(col), n_digits + 3), np.uint8)  # sign, digits, ".0"
-        cells[np.signbit(col), 0] = ord("-")  # so -0.0 stays "-0.0"
-        for k in range(n_digits, 0, -1):  # right to left; a leading zero stays NUL
-            # Exact below 1e16: q / 10 < 1e15 rounds by at most 1/16, and a
-            # quotient that is not an integer lies at least 1/10 from one, so
-            # the floor is right; 10 * rest is an even integer below 1e16,
-            # which a double holds, so the digit is too.
-            rest = np.floor(q / 10.0)
-            digit = q - rest * 10.0 + ord("0")
-            if k < n_digits:
-                digit[q == 0] = 0
-            cells[:, k] = digit
+        for k in range(c[1]):  # right to left
+            # Exact below 1e16: q / 1e4 < 1e12 rounds by at most 2^-14, and a
+            # quotient that is not an integer lies at least 1e-4 from one; 1e4 *
+            # rest is an even integer below 1e16, which a double holds. The top
+            # group has no leading zeros, and one above the top is empty.
+            rest = np.floor(q / 1e4)
+            group = q - rest * 1e4 + 1e4 * (rest == 0)
+            if k:
+                group += 1e4 * (q == 0)
+            rows[:, to - 2 - k] = np.take(_DIGIT_WORDS, group.astype(np.intp))
             q = rest
-        cells[:, -2], cells[:, -1] = ord("."), ord("0")
-        return cells
-    return np.array([repr(v) for v in col.tolist()], dtype="S").view(np.uint8).reshape(len(col), -1)
-
-
-def _csv_rows(chunk: list[np.ndarray]) -> str:
-    """CSV rows of equal-length column chunks: cells joined by ``,``, each row
-    ended by ``\\r\\n``."""
-    cells = [_cells(c) for c in chunk]
-    seps = [b","] * (len(cells) - 1) + [b"\r\n"]
-    rows = np.zeros((len(chunk[0]), sum(c.shape[1] + len(s) for c, s in zip(cells, seps))), np.uint8)
-    at = 0
-    for c, sep in zip(cells, seps):
-        rows[:, at:at + c.shape[1]] = c
-        at += c.shape[1]
-        for byte in sep:
-            rows[:, at] = byte
-            at += 1
-    flat = rows.ravel()
-    return flat[flat != 0].tobytes().decode("ascii")
+        rows[:, to - 1] = np.array(".0" + end, "S4").view(np.uint32)
+    return rows.tobytes().translate(None, b"\0")
 
 
 def write_csv(result: SweepResult, path: Path) -> None:
@@ -93,8 +101,9 @@ def write_csv(result: SweepResult, path: Path) -> None:
     columns = [np.asarray(result.axis), *(np.asarray(v) for v in result.series.values())]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([result.axis_name, *result.series.keys()])
+        fh.flush()  # the rows go to the binary file underneath
         for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            fh.write(_csv_rows([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]))
+            fh.buffer.write(_csv_rows([c[lo:lo + _CSV_CHUNK_ROWS] for c in columns]))
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     with open(meta_path, "w", encoding="utf-8") as fh:
         json.dump(result.metadata, fh, indent=2, sort_keys=True)

@@ -9,6 +9,9 @@ integrals and Poisson PMF term by term: it checks the closed-form sums over
 the transmitter count, not those reference forms. ``simulate_queue_loop``
 draws exactly what ``aoi.simulate_queue`` draws and walks the slot recursion
 one slot at a time, so the vectorised simulator must match it bit for bit.
+``staircase_by_reset_count`` builds the AoI path from a trace's deliveries
+the way the library did before it summed steps in one buffer: a cumulative
+count of the deliveries before each slot picks that slot's reset age.
 ``sample_batch_lexsort`` draws exactly what ``geometry.sample_batch`` draws
 and orders each trial's distances with one global (trial, distance) lexsort,
 so the padded row sort of the sampler must match it bit for bit.
@@ -443,6 +446,19 @@ def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[
         mean_residual=float(trace.residuals.mean()) if count else math.nan,
     )
     return trace, stats
+
+
+def staircase_by_reset_count(trace: QueueTrace, n_slots: int) -> np.ndarray:
+    """Reference AoI path of a trace: slot s (1-based) is the reset age of the
+    last delivery strictly before it (1 for the phantom at slot 0) plus the
+    slots since that delivery, indexed through a cumulative delivery count."""
+    reset_age = np.concatenate(([1], trace.residuals))
+    delivery_slots = trace.delivery_slots
+    resets = np.zeros(n_slots, dtype=np.int64)
+    resets[delivery_slots[delivery_slots < n_slots]] = 1
+    aoi_path = (reset_age - np.concatenate(([0], delivery_slots)))[np.cumsum(resets, out=resets)]
+    aoi_path += np.arange(1, n_slots + 1)
+    return aoi_path
 
 
 def _integrate_summed(f, lo: float, hi: float, spec, points) -> IntegralResult:

@@ -16,7 +16,7 @@ from aoiharvest.aoi import (
     simulate_queue,
 )
 
-from oracles import simulate_queue_loop
+from oracles import simulate_queue_loop, staircase_by_reset_count
 
 
 def test_params_validation():
@@ -152,6 +152,26 @@ def test_staircase_structure():
             assert path[s] == path[s - 1] + 1
     peaks_from_path = path[trace.delivery_slots - 1]
     assert np.array_equal(peaks_from_path, trace.paoi_samples)
+
+
+@pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
+@pytest.mark.parametrize("case, p_a, mu, n_slots, seed", [
+    ("one slot", 0.5, 0.5, 1, 0),
+    ("no delivery", 0.2, 0.2, 5, 0),
+    ("delivery in slot n", 0.6, 0.5, 40, 2),
+    ("p_a = 1", 1.0, 0.3, 200, 1),
+    ("mu = 1", 0.4, 1.0, 200, 2),
+    ("long", 0.5, 0.3, 20_000, 3),
+])
+def test_staircase_matches_reset_count_reference(discipline, case, p_a, mu, n_slots, seed):
+    trace, _ = simulate_queue(QueueParams(p_a=p_a, mu=mu, discipline=discipline, n_slots=n_slots, seed=seed))
+    if case == "no delivery":
+        assert trace.delivery_slots.size == 0
+    if case == "delivery in slot n":
+        assert trace.delivery_slots[-1] == n_slots
+    ref = staircase_by_reset_count(trace, n_slots)
+    assert trace.aoi_path.dtype == ref.dtype
+    np.testing.assert_array_equal(trace.aoi_path, ref)
 
 
 def test_peaks_match_component_identity():

@@ -8,7 +8,7 @@ import pytest
 from aoiharvest import experiments, jsp
 from aoiharvest.aoi import QueueParams, simulate_queue
 from aoiharvest.cli import main
-from aoiharvest.config import SWEEPS, ExperimentSpec, SweepAxis
+from aoiharvest.config import SWEEPS, ExperimentSpec, QueueSettings, SweepAxis
 from aoiharvest.experiments import SweepResult, write_csv
 from aoiharvest.model import NetworkConfig
 
@@ -46,17 +46,63 @@ def _columns(n_rows, chunk):
     }
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 7, 50])
-@pytest.mark.parametrize("as_array", [False, True])
-def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, n_rows, as_array):
-    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 7)  # rows straddle chunk boundaries
-    axis, series = _columns(n_rows, 7)
+def _assert_writes_reference(tmp_path, axis, series, as_array=True):
     ref = SweepResult("x", "slot", axis, series, {"k": 1})
     if as_array:
         axis, series = np.asarray(axis), {k: np.asarray(v) for k, v in series.items()}
     _reference_csv(ref, tmp_path / "ref.csv")
     write_csv(SweepResult("x", "slot", axis, series, {"k": 1}), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 7, 50])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_write_csv_matches_csv_writer(tmp_path, monkeypatch, n_rows, as_array):
+    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 7)  # rows straddle chunk boundaries
+    _assert_writes_reference(tmp_path, *_columns(n_rows, 7), as_array=as_array)
+
+
+def _integral_columns():
+    """Integral float columns that reach every 4-digit group edge and the ends
+    of the exactly representable integers, one case per name."""
+    edges = [s * (10.0**k + d) for k in range(16) for d in (-1, 0, 1) for s in (1, -1)]
+    powers = [2.0**52 - 1, 2.0**52 + 1, 2.0**53, 2.0**53 + 2, -(2.0**53 + 2)]
+    ints = [float(i) for i in range(14)]
+    return {
+        "group edges": {"v": edges},
+        "powers of two": {"v": powers * 3},
+        # -0.0 is the only sign bit of the first chunk; the second has none
+        "negative zero": {"v": [-0.0 if i == 3 else v for i, v in enumerate(ints)]},
+        "all zero": {"zero": [0.0] * 14, "neg_zero": [-0.0] * 7 + [0.0] * 7},
+        "short next to long": {"short": [3.0, -7.0, 0.0, 1.0] * 4,
+                               "long": [9999999999999998.0, -1234567890123456.0, 1e15, 4.0] * 4,
+                               "mixed": [5.0, 9999999999999998.0, -2.0, -1234567890123456.0] * 4},
+        "repr between integral": {"left": ints, "frac": [i / 3 for i in range(14)], "right": ints[::-1]},
+    }
+
+
+@pytest.mark.parametrize("case", list(_integral_columns()))
+def test_write_csv_integral_groups_match_csv_writer(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 7)
+    series = _integral_columns()[case]
+    n_rows = len(next(iter(series.values())))
+    _assert_writes_reference(tmp_path, [float(i) for i in range(n_rows)], series)
+
+
+def test_write_csv_random_integers_match_csv_writer(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_CSV_CHUNK_ROWS", 1000)
+    rng = np.random.default_rng(20240522)
+    n_rows = 100_000
+    sign = rng.choice([-1.0, 1.0], n_rows)
+    series = {
+        # uniform below 1e16 (almost all 16 digits; 1e16 - 2 is the largest float below 1e16)
+        "uniform": sign * rng.integers(0, 10**16 - 1, n_rows).astype(float),
+        # 1 to 16 digits, uniform in the digit count
+        "digits": sign * np.floor(rng.random(n_rows) * 10.0 ** rng.integers(1, 17, n_rows)),
+    }
+    assert all(np.abs(v).max() < 1e16 for v in series.values())
+    _assert_writes_reference(tmp_path, [float(i) for i in range(n_rows)],
+                             {k: v.tolist() for k, v in series.items()})
 
 
 @pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
@@ -156,3 +202,23 @@ def test_radius_sweep_holds_two_geometries_per_trial(tmp_path):
             tracemalloc.stop()
 
     assert (peak(200_000) - peak(50_000)) / 150_000 < 48.0
+
+
+@pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
+def test_queue_path_bytes_per_slot(tmp_path, discipline):
+    """config.MAX_SLOTS rests on this: a queue-path run holds the int64 AoI
+    path, its float copy and the float slot axis (24 bytes a slot) while the
+    CSV is written. Marginal tracemalloc peak between 2e5 and 1e6 slots: about
+    32 bytes a slot without preemption and 34 with it; an index buffer and a
+    gather for the staircase and an int64 arrival count read 46-48."""
+    def peak(n_slots):
+        spec = ExperimentSpec(name="queue-path", output_dir=tmp_path,
+                              queue=QueueSettings(mu=0.3, p_a=0.5, n_slots=n_slots, discipline=discipline))
+        tracemalloc.start()
+        try:
+            experiments.run_experiment(NetworkConfig(), spec)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(1_000_000) - peak(200_000)) / 800_000 <= 42.0
