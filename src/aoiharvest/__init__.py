@@ -17,11 +17,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     **dict.fromkeys(["NetworkConfig", "HarvesterModel", "sir_threshold"], "model"),
     **dict.fromkeys(["DiscPpp", "pmf_count"], "geometry"),
-    **dict.fromkeys(["QuadratureSpec", "erlang_lower", "erlang_upper", "integrate_adaptive",
-                     "poisson_series"], "quadrature"),
+    **dict.fromkeys(["QuadratureSpec", "integrate_adaptive"], "quadrature"),
     **dict.fromkeys(["JspEstimate", "jsp_monte_carlo", "jsp_lower_bound", "jsp_upper_bound"], "jsp"),
     **dict.fromkeys(["QueueParams", "QueueTrace", "PaoiStats", "simulate_queue", "paoi_np_closed_form",
-                     "paoi_p_closed_form", "residual_pmf"], "aoi"),
+                     "paoi_p_closed_form"], "aoi"),
     **dict.fromkeys(["XiObjective", "XiOptimum", "evaluate_objective", "optimize_xi"], "optimizer"),
 }
 __all__ = ["__version__", *_EXPORTS]

@@ -36,7 +36,6 @@ __all__ = [
     "simulate_queue",
     "paoi_np_closed_form",
     "paoi_p_closed_form",
-    "residual_pmf",
     "InfiniteAgeError",
 ]
 
@@ -186,14 +185,3 @@ def paoi_p_closed_form(mu: float, p_a: float) -> float:
     _check_rates(mu, p_a)
     q_s = mu + p_a * (1.0 - mu)
     return (1.0 / p_a - 1.0) + 1.0 / mu + 1.0 / q_s
-
-
-def residual_pmf(m, mu: float, p_a: float):
-    """P[W_hat = m] = q_s (1 - q_s)^{m-1} for m >= 1 (delivered-packet attempts)."""
-    _check_rates(mu, p_a)
-    m_arr = np.asarray(m)
-    if np.any(m_arr < 1) or not np.issubdtype(m_arr.dtype, np.integer):
-        raise ValueError("m must be an integer >= 1")
-    q_s = mu + p_a * (1.0 - mu)
-    out = q_s * (1.0 - q_s) ** (m_arr - 1)
-    return float(out) if out.ndim == 0 else out

@@ -179,7 +179,7 @@ def _negligible_tail(x, nc, upper):
 
 
 def _energy_term(mu, c, z, log_k):
-    """e^{log_k} sum_{n>=0} mu^n/n! erlang_lower(n + 1, c, z), elementwise, c >= 0.
+    """e^{log_k} sum_{n>=0} mu^n/n! tests/oracles.erlang_lower(n + 1, c, z), elementwise, c >= 0.
 
     Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c), with a CDF of 1.0 and
     no Boost call where ``_negligible_tail`` bounds the survival function. Below
@@ -204,7 +204,7 @@ def _energy_term(mu, c, z, log_k):
 
 
 def _sir_term(mu, c, z, log_k):
-    """e^{log_k} sum_{n>=0} mu^n/n! erlang_upper(n + 1, c, z), elementwise, c > 0.
+    """e^{log_k} sum_{n>=0} mu^n/n! tests/oracles.erlang_upper(n + 1, c, z), elementwise, c > 0.
 
     Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c), with at most one
     Boost call per node where it can. At x >= mean + 1.1 sd (mean 2 + nc,

@@ -1,17 +1,9 @@
-"""Numerical machinery shared by the bound evaluators.
+"""Adaptive Gauss-Kronrod quadrature, on NumPy alone.
 
-Three pieces: the Erlang integrals int z^{k-1}/(k-1)! e^{-c z} dz over
-[0, a] and [a, inf), both written once in ``_erlang`` as c^-k times a
-regularized incomplete gamma, with one log-space Poisson-tail sum where that
-underflows and at c = 0; one adaptive Gauss-Kronrod integrator, with the
-iterated integral the bounds run on it (adaptive in the outer variable, a
-fixed Kronrod rule in the inner one); and a truncated Poisson count series
-for sums with no closed form. Shapes reach several hundred at the largest
-disc radii.
-
-No output path calls the Erlang forms or ``poisson_series``. Only acceptance
-criterion 7 (tests/test_acceptance.py) uses both, and the reference bounds in
-tests/oracles.py use the Erlang forms.
+``integrate_adaptive`` bisects the panel with the largest error estimate
+until the tolerances of a ``QuadratureSpec`` are met. ``integrate_iterated``
+runs it over the outer variable of a double integral, with a fixed Kronrod
+rule in the inner one: the bounds in ``jsp`` are integrated that way.
 """
 
 from __future__ import annotations
@@ -21,32 +13,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, pdtr, pdtrc
 
-from .geometry import DiscPpp, _poisson_quantile
-
-__all__ = [
-    "QuadratureSpec",
-    "IntegralResult",
-    "SeriesResult",
-    "erlang_lower",
-    "erlang_upper",
-    "integrate_adaptive",
-    "integrate_iterated",
-    "poisson_series",
-    "DivergentIntegralError",
-]
-
-
-class DivergentIntegralError(ValueError):
-    """Upper-tail integral requested with a nonpositive rate."""
+__all__ = ["QuadratureSpec", "IntegralResult", "integrate_adaptive", "integrate_iterated"]
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances of the adaptive integrator. No code reads an instance's
-    ``series_mass``: ``poisson_series`` takes only the class default, and the
-    field stays because perfbench/make_reference.py passes it."""
+    """Tolerances of the adaptive integrator. The integrator does not read
+    ``series_mass``: perfbench/make_reference.py writes it into its tight
+    specs, and only the class default is read, as the default mass of the
+    count-series reference ``tests/oracles.poisson_series``."""
 
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
@@ -68,76 +44,6 @@ class IntegralResult:
     error: float
     converged: bool
     subdivisions: int
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    truncated_mass: float
-    k_max: int
-
-
-# Where the regularized gamma value underflows (or loses precision), and at
-# c = 0, the integral is summed in log space as a Poisson(x) tail, x = c a,
-# from its leading term n = k (lower) or n = k - 1 (upper):
-#   c^-k P(k, x) = a^k e^{-x}/k! * sum_{j>=0} prod_{1<=i<=j} x/(k+i),
-#   c^-k Q(k, x) = a^{k-1} e^{-x}/((k-1)! c) * sum_{j<k} prod_{1<=i<=j} (k-i)/x,
-# the second a finite sum for integer k. At x = 0 the first is a^k/k!.
-_TINY = 1e-280
-
-
-def _erlang(k, c, a, upper: bool):
-    """c^-k times the regularized lower (P) or upper (Q) incomplete gamma of
-    (k, c a), elementwise over broadcast inputs; a float for scalar input."""
-    k, c, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k, c, a)))
-    if np.isnan(c).any() or np.isnan(a).any():
-        raise ValueError("rate c and limit a must not be NaN")
-    if np.any(k < 1) or np.any(k != np.floor(k)):
-        raise ValueError("shape k must be an integer >= 1")
-    if upper and np.any(c <= 0):
-        raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
-    if np.any(c < 0):
-        raise ValueError("rate c must be >= 0")
-    if np.any(a < 0):
-        raise ValueError(f"{'lower' if upper else 'upper'} limit a must be >= 0")
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # 0 * inf is 0 here: the c = 0 lead below takes a^k from a, and a = 0 is an empty range.
-        # An overflow is right too: at c * a = inf the regularized value is exact, and a
-        # result past the double range is inf.
-        x = np.where((c == 0) | (a == 0), 0.0, c * a)
-        reg = gammaincc(k, x) if upper else gammainc(k, x)
-        logv = np.asarray(np.log(reg) - k * np.log(c))
-        tail = (reg <= _TINY) & (x < np.inf)  # at x = inf the regularized value is exact
-        if np.any(tail):
-            k, c, a, x = k[tail], c[tail], a[tail], x[tail]
-            total = np.ones_like(x)
-            term = np.ones_like(x)
-            for j in range(1, int(np.max(k)) if upper else 500):
-                term = term * (np.maximum(k - j, 0.0) / x if upper else x / (k + j))
-                total += term
-                if np.all(term <= total * 1e-18):
-                    break
-            n = k - upper
-            lead = n * np.log(a) - x - gammaln(n + 1.0)
-            logv[tail] = (lead - np.log(c) if upper else lead) + np.log(total)
-        out = np.exp(logv)
-    return float(out) if out.ndim == 0 else out
-
-
-def erlang_lower(k, c, a):
-    """int_0^a z^{k-1}/(k-1)! * e^{-c z} dz, elementwise over broadcast inputs.
-
-    c > 0 uses the regularized lower incomplete gamma, c = 0 the polynomial
-    a^k/k!. Every caller integrates a decaying or flat integrand, so a
-    negative rate raises.
-    """
-    return _erlang(k, c, a, upper=False)
-
-
-def erlang_upper(k, c, a):
-    """int_a^inf z^{k-1}/(k-1)! * e^{-c z} dz; requires c > 0 to converge."""
-    return _erlang(k, c, a, upper=True)
 
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -258,20 +164,3 @@ def integrate_iterated(f, lo: float, hi: float, spec: QuadratureSpec | None = No
         return sum(v for v, _ in panels)
 
     return integrate_adaptive(rule, lo, hi, spec, points)
-
-
-def poisson_series(term, ppp: DiscPpp, series_mass: float = QuadratureSpec.series_mass) -> SeriesResult:
-    """Sum term(k) over k = 2..k_max with k_max set by retained Poisson mass.
-
-    ``term`` must accept an integer ndarray and return matching values. The
-    truncated mass (the guaranteed weight of dropped terms when term(k) is
-    bounded by pmf(k) times an O(1) factor) is reported alongside the value.
-    """
-    m = ppp.mean_count
-    k_max = max(2, _poisson_quantile(series_mass, m))
-    while pdtr(k_max, m) < series_mass:
-        k_max += 1
-    ks = np.arange(2, k_max + 1)
-    value = float(np.sum(term(ks)))
-    truncated = float(pdtrc(k_max, m))
-    return SeriesResult(value=value, truncated_mass=truncated, k_max=k_max)

@@ -4,9 +4,13 @@ Everything here deliberately avoids the library's samplers and closed forms:
 a different bit generator (MT19937), rejection-based conditioning on the
 count, rejection sampling of positions from the bounding square, and explicit
 per-trial loops. Slow but structurally unrelated to the code under test.
-Three exceptions. ``count_series_integrand`` reuses the library's Erlang
-integrals and Poisson PMF term by term: it checks the closed-form sums over
-the transmitter count, not those reference forms. ``simulate_queue_loop``
+The Erlang integrals ``erlang_lower``/``erlang_upper`` and the truncated count
+series ``poisson_series`` are the per-term forms the library summed before it
+closed each count sum into one noncentral chi-square or Bessel call;
+``residual_pmf`` is the law of W_hat, the delivered packet's attempt count.
+``count_series_integrand`` sums the Erlang integrals with the library's
+Poisson PMF term by term: it checks the closed-form sums over the transmitter
+count. ``simulate_queue_loop``
 draws exactly what ``aoi.simulate_queue`` draws and walks the slot recursion
 one slot at a time, so the vectorised simulator must match it bit for bit.
 ``staircase_by_reset_count`` builds the AoI path from a trace's deliveries
@@ -35,17 +39,17 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import chndtr, ive
+from scipy.special import chndtr, gammainc, gammaincc, gammaln, ive, pdtr, pdtrc
 from scipy.special._ufuncs import _ncx2_sf
 
-from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth
-from aoiharvest.geometry import DiscPpp, _truncated_count_table, pmf_count
+from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth, _check_rates
+from aoiharvest.geometry import DiscPpp, _poisson_quantile, _truncated_count_table, pmf_count
 from aoiharvest.model import NetworkConfig, sir_threshold
-from aoiharvest.quadrature import IntegralResult, _gk15, erlang_lower, erlang_upper, integrate_adaptive
+from aoiharvest.quadrature import IntegralResult, QuadratureSpec, _gk15, integrate_adaptive
 
 
 def _sample_trial(cfg: NetworkConfig, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -196,6 +200,108 @@ def poisson_pmf_exact(k: int, mean: float) -> float:
     term = m**k / math.factorial(k)
     # e^{-m} in float at the end; the rational part is exact.
     return float(term) * math.exp(-mean)
+
+
+class DivergentIntegralError(ValueError):
+    """Upper-tail integral requested with a nonpositive rate."""
+
+
+@dataclass(frozen=True)
+class SeriesResult:
+    value: float
+    truncated_mass: float
+    k_max: int
+
+
+# Where the regularized gamma value underflows (or loses precision), and at
+# c = 0, the integral is summed in log space as a Poisson(x) tail, x = c a,
+# from its leading term n = k (lower) or n = k - 1 (upper):
+#   c^-k P(k, x) = a^k e^{-x}/k! * sum_{j>=0} prod_{1<=i<=j} x/(k+i),
+#   c^-k Q(k, x) = a^{k-1} e^{-x}/((k-1)! c) * sum_{j<k} prod_{1<=i<=j} (k-i)/x,
+# the second a finite sum for integer k. At x = 0 the first is a^k/k!.
+_TINY = 1e-280
+
+
+def _erlang(k, c, a, upper: bool):
+    """c^-k times the regularized lower (P) or upper (Q) incomplete gamma of
+    (k, c a), elementwise over broadcast inputs; a float for scalar input."""
+    k, c, a = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (k, c, a)))
+    if np.isnan(c).any() or np.isnan(a).any():
+        raise ValueError("rate c and limit a must not be NaN")
+    if np.any(k < 1) or np.any(k != np.floor(k)):
+        raise ValueError("shape k must be an integer >= 1")
+    if upper and np.any(c <= 0):
+        raise DivergentIntegralError("upper-tail integral diverges for c <= 0")
+    if np.any(c < 0):
+        raise ValueError("rate c must be >= 0")
+    if np.any(a < 0):
+        raise ValueError(f"{'lower' if upper else 'upper'} limit a must be >= 0")
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # 0 * inf is 0 here: the c = 0 lead below takes a^k from a, and a = 0 is an empty range.
+        # An overflow is right too: at c * a = inf the regularized value is exact, and a
+        # result past the double range is inf.
+        x = np.where((c == 0) | (a == 0), 0.0, c * a)
+        reg = gammaincc(k, x) if upper else gammainc(k, x)
+        logv = np.asarray(np.log(reg) - k * np.log(c))
+        tail = (reg <= _TINY) & (x < np.inf)  # at x = inf the regularized value is exact
+        if np.any(tail):
+            k, c, a, x = k[tail], c[tail], a[tail], x[tail]
+            total = np.ones_like(x)
+            term = np.ones_like(x)
+            for j in range(1, int(np.max(k)) if upper else 500):
+                term = term * (np.maximum(k - j, 0.0) / x if upper else x / (k + j))
+                total += term
+                if np.all(term <= total * 1e-18):
+                    break
+            n = k - upper
+            lead = n * np.log(a) - x - gammaln(n + 1.0)
+            logv[tail] = (lead - np.log(c) if upper else lead) + np.log(total)
+        out = np.exp(logv)
+    return float(out) if out.ndim == 0 else out
+
+
+def erlang_lower(k, c, a):
+    """int_0^a z^{k-1}/(k-1)! * e^{-c z} dz, elementwise over broadcast inputs.
+
+    c > 0 uses the regularized lower incomplete gamma, c = 0 the polynomial
+    a^k/k!. Every caller integrates a decaying or flat integrand, so a
+    negative rate raises.
+    """
+    return _erlang(k, c, a, upper=False)
+
+
+def erlang_upper(k, c, a):
+    """int_a^inf z^{k-1}/(k-1)! * e^{-c z} dz; requires c > 0 to converge."""
+    return _erlang(k, c, a, upper=True)
+
+
+def poisson_series(term, ppp: DiscPpp, series_mass: float = QuadratureSpec.series_mass) -> SeriesResult:
+    """Sum term(k) over k = 2..k_max with k_max set by retained Poisson mass.
+
+    ``term`` must accept an integer ndarray and return matching values. The
+    truncated mass (the guaranteed weight of dropped terms when term(k) is
+    bounded by pmf(k) times an O(1) factor) is reported alongside the value.
+    """
+    m = ppp.mean_count
+    k_max = max(2, _poisson_quantile(series_mass, m))
+    while pdtr(k_max, m) < series_mass:
+        k_max += 1
+    ks = np.arange(2, k_max + 1)
+    value = float(np.sum(term(ks)))
+    truncated = float(pdtrc(k_max, m))
+    return SeriesResult(value=value, truncated_mass=truncated, k_max=k_max)
+
+
+def residual_pmf(m, mu: float, p_a: float):
+    """P[W_hat = m] = q_s (1 - q_s)^{m-1} for m >= 1 (delivered-packet attempts)."""
+    _check_rates(mu, p_a)
+    m_arr = np.asarray(m)
+    if np.any(m_arr < 1) or not np.issubdtype(m_arr.dtype, np.integer):
+        raise ValueError("m must be an integer >= 1")
+    q_s = mu + p_a * (1.0 - mu)
+    out = q_s * (1.0 - q_s) ** (m_arr - 1)
+    return float(out) if out.ndim == 0 else out
 
 
 def erlang_integrand(k: int, c: float):

@@ -13,16 +13,16 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from aoiharvest.aoi import QueueParams, paoi_np_closed_form, paoi_p_closed_form, residual_pmf, simulate_queue
+from aoiharvest.aoi import QueueParams, paoi_np_closed_form, paoi_p_closed_form, simulate_queue
 from aoiharvest.cli import main as cli_main
 from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.jsp import jsp_lower_bound, jsp_monte_carlo, jsp_upper_bound
 from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt, sir_threshold
 from aoiharvest.optimizer import XiObjective, optimize_xi
-from aoiharvest.quadrature import QuadratureSpec, erlang_lower, erlang_upper, integrate_adaptive, poisson_series
+from aoiharvest.quadrature import QuadratureSpec, integrate_adaptive
 
 from conftest import ACCEPTANCE_LINES
-from oracles import erlang_integrand, placement_bound_mc
+from oracles import erlang_integrand, erlang_lower, erlang_upper, placement_bound_mc, poisson_series, residual_pmf
 
 
 def _report(line: str) -> None:

@@ -12,11 +12,10 @@ from aoiharvest.aoi import (
     QueueParams,
     paoi_np_closed_form,
     paoi_p_closed_form,
-    residual_pmf,
     simulate_queue,
 )
 
-from oracles import simulate_queue_loop, staircase_by_reset_count
+from oracles import residual_pmf, simulate_queue_loop, staircase_by_reset_count
 
 
 def test_params_validation():

@@ -36,11 +36,13 @@ def test_package_all_resolves_and_star_import_works():
     assert set(aoiharvest.__all__) <= set(namespace)
 
 
-@pytest.mark.parametrize("module", ["aoiharvest", "aoiharvest.cli"])
-def test_import_leaves_scipy_stats_unloaded(module):
+@pytest.mark.parametrize("module,prefix", [("aoiharvest", "scipy.stats"), ("aoiharvest.cli", "scipy.stats"),
+                                           ("aoiharvest.quadrature", "scipy")],
+                         ids=["aoiharvest", "aoiharvest.cli", "aoiharvest.quadrature"])
+def test_import_leaves_scipy_stats_unloaded(module, prefix):
     """The package needs only scipy.special; importing scipy.stats would add
-    about half a second to every run."""
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    about half a second to every run. The integrator needs no SciPy at all."""
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     env = dict(os.environ, PYTHONPATH=str(Path(aoiharvest.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -7,18 +7,9 @@ from scipy.special import gammainc, gammaincc
 
 from aoiharvest.geometry import DiscPpp, pmf_count
 from aoiharvest.model import NetworkConfig
-from aoiharvest.quadrature import (
-    DivergentIntegralError,
-    IntegralResult,
-    QuadratureSpec,
-    erlang_lower,
-    erlang_upper,
-    integrate_adaptive,
-    integrate_iterated,
-    poisson_series,
-)
+from aoiharvest.quadrature import IntegralResult, QuadratureSpec, integrate_adaptive, integrate_iterated
 
-from oracles import erlang_integrand
+from oracles import DivergentIntegralError, erlang_integrand, erlang_lower, erlang_upper, poisson_series
 
 DEFAULT_PPP = DiscPpp.from_config(NetworkConfig())
 

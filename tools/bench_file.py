@@ -13,8 +13,9 @@ file's other keys. Each entry holds the median and
 quartiles (inclusive method) over runs, one run per seed, of each end-to-end
 metric; failed/attempted output rows; and the first run's provenance.
 
-``compare`` reads the results of PARENT_CHECKOUT and of this checkout. For each
-workload and end-to-end metric it prints both sides' median and q1-q3, and how
+``compare`` reads the results of PARENT_CHECKOUT and of this checkout. It prints
+each side's ``src/`` line count (``provenance.src_lines``) once, then, for each
+workload and end-to-end metric, both sides' median and q1-q3, and how
 many of the pairs (runs of one seed on both sides) the change won, ties
 counting for neither side. ``gain`` marks a metric where the change won at
 least nine tenths of the pairs and the medians differ by more than the
@@ -80,6 +81,8 @@ def compare(parent: Path) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     old, new = runs(parent), runs(ROOT)
+    lines = [next(iter(side.values()))[0]["provenance"]["src_lines"] for side in (old, new)]
+    print(f"{'src_lines':27} parent {lines[0]}  change {lines[1]}")
     for workload in sorted(old.keys() & new.keys()):
         by_seed = [{r["seed"]: r["metrics"] for r in side[workload]} for side in (old, new)]
         seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
