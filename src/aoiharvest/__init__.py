@@ -21,7 +21,7 @@ _EXPORTS = {
     **dict.fromkeys(["JspEstimate", "jsp_monte_carlo", "jsp_lower_bound", "jsp_upper_bound"], "jsp"),
     **dict.fromkeys(["QueueParams", "QueueTrace", "PaoiStats", "simulate_queue", "paoi_np_closed_form",
                      "paoi_p_closed_form"], "aoi"),
-    **dict.fromkeys(["XiObjective", "XiOptimum", "evaluate_objective", "optimize_xi"], "optimizer"),
+    **dict.fromkeys(["XiObjective", "XiOptimum", "optimize_xi"], "optimizer"),
 }
 __all__ = ["__version__", *_EXPORTS]
 

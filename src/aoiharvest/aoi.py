@@ -100,7 +100,7 @@ def _previous(x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], x))[:x.size]
 
 
-def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:
+def simulate_queue(params: QueueParams) -> tuple[QueueTrace, PaoiStats]:
     """Simulate the slot recursion and aggregate peak-age statistics.
 
     The server is empty after every success slot: it either delivered or had
@@ -109,10 +109,10 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     first, which counts the warm-up draw), and both disciplines deliver in the
     same slots. Each generation is admitted at the first arrival at or after
     the previous delivery; under preemption the delivered packet is the last
-    arrival before its delivery slot. With record_path, the peak age at each
-    delivery is computed twice, from the aging staircase and from the
-    components (previous residual + idle gap + service span); a mismatch
-    raises, as a structural self-check of the accounting.
+    arrival before its delivery slot. The peak age at each delivery is
+    computed twice, from the aging staircase and from the components
+    (previous residual + idle gap + service span); a mismatch raises, as a
+    structural self-check of the accounting.
     """
     rng = np.random.default_rng(params.seed)
     n = params.n_slots
@@ -138,20 +138,15 @@ def simulate_queue(params: QueueParams, record_path: bool = True) -> tuple[Queue
     reset_age = np.concatenate(([1], residuals))  # the phantom packet's residual is 1
     peaks = reset_age[:-1] + interarrivals + service_times
 
-    if record_path:
-        # A running sum of steps: 2 in slot 1, then +1 a slot, except that the
-        # slot after a delivery d < n drops to the delivered packet's age + 1.
-        aoi_path = np.ones(n, dtype=np.int64)
-        aoi_path[0] = 2
-        inner = delivery_slots < n
-        aoi_path[delivery_slots[inner]] = (np.diff(reset_age) - delivery_slots + prev_delivery + 1)[inner]
-        np.cumsum(aoi_path, out=aoi_path)
-        if not np.array_equal(peaks, aoi_path[delivery_slots - 1]):
-            raise RuntimeError("AoI accounting mismatch between staircase and components")
-    else:
-        # Without a path the staircase at d is reset_age + d - d_prev, which
-        # equals the component sum identically: there is nothing to check.
-        aoi_path = np.empty(0, dtype=np.int64)
+    # A running sum of steps: 2 in slot 1, then +1 a slot, except that the
+    # slot after a delivery d < n drops to the delivered packet's age + 1.
+    aoi_path = np.ones(n, dtype=np.int64)
+    aoi_path[0] = 2
+    inner = delivery_slots < n
+    aoi_path[delivery_slots[inner]] = (np.diff(reset_age) - delivery_slots + prev_delivery + 1)[inner]
+    np.cumsum(aoi_path, out=aoi_path)
+    if not np.array_equal(peaks, aoi_path[delivery_slots - 1]):
+        raise RuntimeError("AoI accounting mismatch between staircase and components")
 
     trace = QueueTrace(aoi_path=aoi_path, paoi_samples=peaks, delivery_slots=delivery_slots,
                        service_times=service_times, residuals=residuals, interarrivals=interarrivals)

@@ -1,6 +1,6 @@
 """Command line entry point: run named experiments from a config file.
 
-    aoiharvest run <config> [--experiment NAME] [--out DIR] [--seed N] [--trials N]
+    aoiharvest run <config> [--experiment NAME] [--out DIR] [--seed N] [--trials N] [--plot]
     aoiharvest validate <config>
     aoiharvest list-experiments
 

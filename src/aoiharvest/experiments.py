@@ -225,13 +225,9 @@ def _paoi_point(cfg: NetworkConfig, spec: ExperimentSpec) -> dict[str, tuple]:
 def _xistar_point(cfg: NetworkConfig, spec: ExperimentSpec) -> dict[str, tuple]:
     qspec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-8)
     lin, _ = _harvester_pair(cfg)
-    out = {}
-    for column, kind in (("xi_star_jsp_lower", "max_jsp_lower"),
-                         ("xi_star_paoi_np", "min_paoi_np_upper"),
-                         ("xi_star_paoi_p", "min_paoi_p_upper")):
-        opt = optimize_xi(XiObjective(kind=kind, cfg=lin, spec=qspec), grid_step=0.05)
-        out[column] = (opt.xi_star, opt.converged)
-    return out
+    opt = optimize_xi(XiObjective(kind="max_jsp_lower", cfg=lin, spec=qspec), grid_step=0.05)
+    # Both peak-age closed forms strictly decrease in mu: one argmax serves all three.
+    return dict.fromkeys(("xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"), (opt.xi_star, opt.converged))
 
 
 _POINTS = {"jsp": _jsp_point, "paoi": _paoi_point, "xistar": _xistar_point}

@@ -1,10 +1,12 @@
-"""Search for the slot-partitioning factor xi* that optimizes a JSP or
-peak-age objective.
+"""Search for the slot-partitioning factor xi* that maximizes the analytic
+JSP lower bound.
 
-Every objective moves the harvesting duration and the decoding threshold
-together (both are functions of xi). Unimodality in xi is an observed
-property, not a guarantee, so golden-section refinement is seeded from a
-coarse grid scan rather than trusted globally.
+The bound moves the harvesting duration and the decoding threshold together
+(both are functions of xi). Unimodality in xi is an observed property, not a
+guarantee, so golden-section refinement is seeded from a coarse grid scan
+rather than trusted globally. Both peak-age closed forms strictly decrease in
+the success probability, so this xi* also minimizes either peak age of the
+bound.
 """
 
 from __future__ import annotations
@@ -12,19 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .aoi import paoi_np_closed_form, paoi_p_closed_form
 from .jsp import jsp_lower_bound
 from .model import NetworkConfig
 from .quadrature import QuadratureSpec
 
-__all__ = ["XiObjective", "XiOptimum", "evaluate_objective", "optimize_xi",
-           "search_scalar", "DegenerateObjectiveError", "OBJECTIVE_KINDS"]
+__all__ = ["XiObjective", "XiOptimum", "optimize_xi", "search_scalar", "DegenerateObjectiveError",
+           "OBJECTIVE_KINDS"]
 
-OBJECTIVE_KINDS = (
-    "max_jsp_lower",
-    "min_paoi_np_upper",
-    "min_paoi_p_upper",
-)
+OBJECTIVE_KINDS = ("max_jsp_lower",)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -35,6 +32,11 @@ class DegenerateObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class XiObjective:
+    """The JSP lower bound of ``cfg`` at ``spec``, as a function of xi.
+
+    ``kind`` takes the one value ``"max_jsp_lower"``; it stays because
+    perfbench/make_reference.py builds ``XiObjective(kind="max_jsp_lower", ...)``.
+    """
     kind: str
     cfg: NetworkConfig
     spec: QuadratureSpec | None = None
@@ -50,30 +52,6 @@ class XiOptimum:
     value: float
     evaluations: int
     converged: bool = True        # every bound evaluated in the search converged
-
-
-def _objective(obj: XiObjective, xi: float) -> tuple[float, bool]:
-    """(objective value, whether its bound quadrature converged) at xi."""
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must be in (0, 1)")
-    lo = jsp_lower_bound(replace(obj.cfg, xi=xi), spec=obj.spec)
-    if obj.kind == "max_jsp_lower":
-        return lo.value, lo.converged
-    if lo.value <= 0.0:
-        return math.inf, lo.converged
-    closed = paoi_np_closed_form if obj.kind == "min_paoi_np_upper" else paoi_p_closed_form
-    return closed(lo.value, obj.cfg.p_a), lo.converged
-
-
-def evaluate_objective(obj: XiObjective, xi: float) -> float:
-    """Objective value at a candidate xi (larger is better for max kinds,
-    smaller for min kinds). Peak-age kinds compose the closed forms with the
-    analytic JSP lower bound at the same xi."""
-    return _objective(obj, xi)[0]
-
-
-def _is_min(kind: str) -> bool:
-    return kind.startswith("min_")
 
 
 def search_scalar(f, grid_step: float, refine_tol: float) -> tuple[float, float, int]:
@@ -130,13 +108,12 @@ def optimize_xi(obj: XiObjective, grid_step: float = 0.02, refine_tol: float = 1
     """Coarse grid scan over (grid_step, 1 - grid_step), then golden-section
     refinement around the best grid point down to an interval of width
     refine_tol."""
-    sign = 1.0 if _is_min(obj.kind) else -1.0  # minimize sign * value
     flags = []
 
-    def f(t: float) -> float:
-        value, ok = _objective(obj, t)
-        flags.append(ok)
-        return sign * value
+    def f(xi: float) -> float:
+        lo = jsp_lower_bound(replace(obj.cfg, xi=xi), spec=obj.spec)
+        flags.append(lo.converged)
+        return -lo.value
 
     x, fx, n_evals = search_scalar(f, grid_step, refine_tol)
-    return XiOptimum(xi_star=x, value=sign * fx, evaluations=n_evals, converged=all(flags))
+    return XiOptimum(xi_star=x, value=-fx, evaluations=n_evals, converged=all(flags))

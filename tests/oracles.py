@@ -30,6 +30,10 @@ placement, integrated over d_K, must match it.
 ``integrate_iterated_adaptive`` is the iterated-integral driver the library
 used before its u rule was fixed: one adaptive inner drive over u per outer
 Kronrod round, on the library's Kronrod panels.
+``paoi_objective`` and ``paoi_xi_search`` are the peak-age objectives and
+the xi* search over them that the optimizer ran, one search per closed form,
+before it used that both closed forms strictly decrease in mu and searched the
+JSP lower bound alone.
 The serving and farthest distance densities (in the form the bound integrals
 use), their normalized laws and the truncated count mean are references for
 the sampler's distribution fits.
@@ -46,9 +50,12 @@ import numpy as np
 from scipy.special import chndtr, gammainc, gammaincc, gammaln, ive, pdtr, pdtrc
 from scipy.special._ufuncs import _ncx2_sf
 
-from aoiharvest.aoi import PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth, _check_rates
+from aoiharvest.aoi import (PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth, _check_rates,
+                            paoi_np_closed_form, paoi_p_closed_form)
 from aoiharvest.geometry import DiscPpp, _poisson_quantile, _truncated_count_table, pmf_count
+from aoiharvest.jsp import jsp_lower_bound
 from aoiharvest.model import NetworkConfig, sir_threshold
+from aoiharvest.optimizer import XiOptimum, search_scalar
 from aoiharvest.quadrature import IntegralResult, QuadratureSpec, _gk15, integrate_adaptive
 
 
@@ -470,7 +477,7 @@ def sample_batch_lexsort(ppp: DiscPpp, trials: int, rng) -> tuple[np.ndarray, ..
     return counts, starts, d, g
 
 
-def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[QueueTrace, PaoiStats]:
+def simulate_queue_loop(params: QueueParams) -> tuple[QueueTrace, PaoiStats]:
     """Reference Geo/Geo/1 simulator: the plain slot recursion, one slot at a time.
 
     Same draws and same slot convention as ``aoi.simulate_queue`` (attempt
@@ -484,7 +491,7 @@ def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[
     successes = (rng.random(n) < params.mu).tolist()
     preemptive = params.discipline == "preemptive"
 
-    aoi_path = [] if record_path else None
+    aoi_path: list[int] = []
     peaks: list[int] = []
     delivery_slots: list[int] = []
     service_times: list[int] = []
@@ -530,13 +537,12 @@ def simulate_queue_loop(params: QueueParams, record_path: bool = True) -> tuple[
             elif preemptive:
                 attempts_cur = 0
             # non-preemptive and busy: dropped
-        if record_path:
-            aoi_path.append(aoi_pre)
+        aoi_path.append(aoi_pre)
 
     peaks_arr = np.asarray(peaks, dtype=np.int64)
     w_arr = np.asarray(service_times, dtype=np.int64)
     trace = QueueTrace(
-        aoi_path=np.asarray(aoi_path if record_path else [], dtype=np.int64),
+        aoi_path=np.asarray(aoi_path, dtype=np.int64),
         paoi_samples=peaks_arr,
         delivery_slots=np.asarray(delivery_slots, dtype=np.int64),
         service_times=w_arr,
@@ -622,3 +628,29 @@ def integrate_iterated_adaptive(f, lo: float, hi: float, spec, points=None,
     inner_budget = (hi - lo) * float(np.mean(np.concatenate(inner_errors)))
     converged = outer.error <= max(spec.abs_tol, spec.rel_tol * abs(outer.value), 2.0 * inner_budget)
     return IntegralResult(outer.value, outer.error + inner_budget, converged, outer.subdivisions)
+
+
+def paoi_objective(kind: str, cfg: NetworkConfig, spec: QuadratureSpec | None,
+                   xi: float) -> tuple[float, bool]:
+    """(mean peak age of the JSP lower bound at xi under the discipline of
+    ``kind``, whether its bound quadrature converged); inf where the bound is 0."""
+    closed = {"min_paoi_np_upper": paoi_np_closed_form, "min_paoi_p_upper": paoi_p_closed_form}[kind]
+    lo = jsp_lower_bound(replace(cfg, xi=xi), spec=spec)
+    if lo.value <= 0.0:
+        return math.inf, lo.converged
+    return closed(lo.value, cfg.p_a), lo.converged
+
+
+def paoi_xi_search(kind: str, cfg: NetworkConfig, spec: QuadratureSpec | None,
+                   grid_step: float = 0.02, refine_tol: float = 1e-3) -> XiOptimum:
+    """The xi* minimizing ``paoi_objective``: the grid scan and golden-section
+    refinement of ``optimizer.search_scalar``."""
+    flags = []
+
+    def f(t: float) -> float:
+        value, ok = paoi_objective(kind, cfg, spec, t)
+        flags.append(ok)
+        return value
+
+    x, fx, n_evals = search_scalar(f, grid_step, refine_tol)
+    return XiOptimum(xi_star=x, value=fx, evaluations=n_evals, converged=all(flags))

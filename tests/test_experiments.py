@@ -11,6 +11,7 @@ from aoiharvest.cli import main
 from aoiharvest.config import SWEEPS, ExperimentSpec, QueueSettings, SweepAxis
 from aoiharvest.experiments import SweepResult, write_csv
 from aoiharvest.model import NetworkConfig
+from aoiharvest.optimizer import optimize_xi
 
 SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 5e-324, 3.0, -7.0, 0.1, 1 / 3, 2.5e-8]
 # integer-valued floats up to just below 1e16, where repr is still '%d.0'
@@ -182,6 +183,26 @@ def test_two_point_sweep_matches_recorded_values(tmp_path, name):
         got = list(csv.reader(fh))
     assert got[0] == header
     assert [[float(v) for v in row] for row in got[1:]] == [pytest.approx(row, rel=1e-9) for row in rows]
+
+
+def test_xistar_point_runs_one_search(tmp_path, monkeypatch):
+    """Both peak-age closed forms strictly decrease in mu, so the xi* that
+    maximizes the JSP lower bound minimizes both: one search fills all three
+    columns of a point."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return optimize_xi(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "optimize_xi", counted)
+    spec = ExperimentSpec(name="xistar-vs-radius", output_dir=tmp_path, sweep=SweepAxis(50.0, 50.0, 50.0, "m"))
+    experiments.run_experiment(NetworkConfig(), spec)
+    assert len(calls) == 1
+    with open(tmp_path / "xistar-vs-radius.csv", newline="", encoding="utf-8") as fh:
+        header, row = list(csv.reader(fh))
+    assert header == ["radius", "xi_star_jsp_lower", "xi_star_paoi_np", "xi_star_paoi_p"]
+    assert row[0] == "50.0" and row[1] == row[2] == row[3] and 0.0 < float(row[1]) < 1.0
 
 
 def test_radius_sweep_holds_two_geometries_per_trial(tmp_path):

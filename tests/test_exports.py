@@ -83,7 +83,9 @@ def test_parse_validate_and_list_load_no_numpy_or_scipy(tmp_path):
 def test_perfbench_reference_script_imports():
     """perfbench/make_reference.py imports ``select_regime``, passes ``regime=``
     and ``QuadratureSpec(series_mass=)``: the package keeps them, unexported,
-    for that script. Imported without calling ``main``."""
+    for that script. It also builds ``XiObjective(kind="max_jsp_lower", ...)``,
+    which is why ``kind`` stays though it takes one value. Imported without
+    calling ``main``."""
     root = Path(__file__).resolve().parents[1]
     script = str(root / "perfbench" / "make_reference.py")
     code = "\n".join([
@@ -93,12 +95,15 @@ def test_perfbench_reference_script_imports():
         "spec.loader.exec_module(ref)",
         "from aoiharvest.jsp import REGIMES, jsp_lower_bound, jsp_upper_bound, select_regime",
         "from aoiharvest.model import NetworkConfig",
+        "from aoiharvest.optimizer import XiObjective, optimize_xi",
         "assert ref.select_regime is select_regime",
         "assert REGIMES == ('linear', 'case_a', 'case_b', 'case_c')",
         "for regime in REGIMES:  # xi = 0 returns before any quadrature",
         "    for bound in (jsp_lower_bound, jsp_upper_bound):",
         "        assert bound(NetworkConfig(xi=0.0), regime=regime, spec=ref.TIGHT).value == 0.0",
         "assert (ref.TIGHT.series_mass, ref.XI_TIGHT.series_mass) == (1.0 - 1e-12, 1.0 - 1e-10)",
+        "assert ref.XiObjective is XiObjective and ref.optimize_xi is optimize_xi",
+        "XiObjective(kind='max_jsp_lower', cfg=NetworkConfig(), spec=ref.XI_TIGHT)",
     ])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -9,11 +9,12 @@ from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
 from aoiharvest.optimizer import (
     DegenerateObjectiveError,
     XiObjective,
-    evaluate_objective,
     optimize_xi,
     search_scalar,
 )
 from aoiharvest.quadrature import QuadratureSpec
+
+from oracles import paoi_objective, paoi_xi_search
 
 FAST_SPEC = QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8)
 BASE = NetworkConfig(radius=50.0, p_t=db_to_watt(10.0))
@@ -50,35 +51,29 @@ def test_search_scalar_validation():
 
 
 def test_objective_kind_validation():
-    with pytest.raises(ValueError):
-        XiObjective(kind="max_throughput", cfg=BASE)
-    with pytest.raises(ValueError):
-        evaluate_objective(XiObjective(kind="max_jsp_lower", cfg=BASE), 1.0)
+    for kind in ("max_throughput", "min_paoi_np_upper"):
+        with pytest.raises(ValueError):
+            XiObjective(kind=kind, cfg=BASE)
 
 
 def test_paoi_objective_is_composition_of_jsp_lower():
-    obj_jsp = XiObjective(kind="max_jsp_lower", cfg=BASE, spec=FAST_SPEC)
-    obj_np = XiObjective(kind="min_paoi_np_upper", cfg=BASE, spec=FAST_SPEC)
-    obj_p = XiObjective(kind="min_paoi_p_upper", cfg=BASE, spec=FAST_SPEC)
     for xi in (0.2, 0.4, 0.7):
-        mu = evaluate_objective(obj_jsp, xi)
-        assert evaluate_objective(obj_np, xi) == paoi_np_closed_form(mu, BASE.p_a)
-        assert evaluate_objective(obj_p, xi) == paoi_p_closed_form(mu, BASE.p_a)
+        mu = jsp_lower_bound(replace(BASE, xi=xi), spec=FAST_SPEC).value
+        assert paoi_objective("min_paoi_np_upper", BASE, FAST_SPEC, xi)[0] == paoi_np_closed_form(mu, BASE.p_a)
+        assert paoi_objective("min_paoi_p_upper", BASE, FAST_SPEC, xi)[0] == paoi_p_closed_form(mu, BASE.p_a)
 
 
 def test_jsp_objective_matches_direct_calls():
-    obj = XiObjective(kind="max_jsp_lower", cfg=BASE, spec=FAST_SPEC)
-    for xi in (0.1, 0.5, 0.9):
-        direct = jsp_lower_bound(replace(BASE, xi=xi), spec=FAST_SPEC).value
-        assert evaluate_objective(obj, xi) == direct
+    opt = optimize_xi(XiObjective(kind="max_jsp_lower", cfg=BASE, spec=FAST_SPEC), grid_step=0.05)
+    direct = jsp_lower_bound(replace(BASE, xi=opt.xi_star), spec=FAST_SPEC).value
+    assert opt.value == direct
 
 
 def test_grid_argmax_coincidence():
     # argmax of the success bound and argmins of both peak-age forms agree
     # exactly on a common grid, by monotone-transform invariance
-    obj = XiObjective(kind="max_jsp_lower", cfg=BASE, spec=FAST_SPEC)
     grid = [round(0.05 * i, 2) for i in range(1, 20)]
-    mus = [evaluate_objective(obj, x) for x in grid]
+    mus = [jsp_lower_bound(replace(BASE, xi=x), spec=FAST_SPEC).value for x in grid]
     np_vals = [paoi_np_closed_form(m, BASE.p_a) if m > 0 else math.inf for m in mus]
     p_vals = [paoi_p_closed_form(m, BASE.p_a) if m > 0 else math.inf for m in mus]
     i = max(range(len(grid)), key=lambda j: mus[j])
@@ -87,9 +82,9 @@ def test_grid_argmax_coincidence():
 
 
 def test_optimize_xi_coincidence_with_refinement():
-    kinds = ("max_jsp_lower", "min_paoi_np_upper", "min_paoi_p_upper")
-    stars = [optimize_xi(XiObjective(kind=k, cfg=BASE, spec=FAST_SPEC), grid_step=0.05).xi_star
-             for k in kinds]
+    stars = [optimize_xi(XiObjective(kind="max_jsp_lower", cfg=BASE, spec=FAST_SPEC), grid_step=0.05).xi_star]
+    stars += [paoi_xi_search(k, BASE, FAST_SPEC, grid_step=0.05).xi_star
+              for k in ("min_paoi_np_upper", "min_paoi_p_upper")]
     assert abs(stars[0] - stars[1]) <= 1e-3
     assert abs(stars[0] - stars[2]) <= 1e-3
 

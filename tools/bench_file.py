@@ -97,10 +97,10 @@ def compare(parent: Path) -> None:
 
 def _timed(args: list[str], checkout: Path, check: bool = True, **kwargs) -> tuple[float, float, str]:
     """(wall s, the process's own peak RSS in MB, stdout) of one child run in CHECKOUT."""
-    env = {k: v for k, v in os.environ.items() if k != "AOI_EH_THREADS"}
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     t0 = time.perf_counter()
-    with subprocess.Popen([sys.executable, *args], cwd=checkout, env={**env, "PYTHONPATH": str(checkout / "src")},
-                          stdout=subprocess.PIPE, text=True, **kwargs) as proc:
+    with subprocess.Popen([sys.executable, *args], cwd=checkout, env=env, stdout=subprocess.PIPE, text=True,
+                          **kwargs) as proc:
         out = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
