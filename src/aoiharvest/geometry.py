@@ -90,11 +90,16 @@ def sample_batch(ppp: DiscPpp, trials: int, rng: np.random.Generator):
     total = int(counts.sum())
     filled = np.arange(counts.max()) < counts[:, None]
     rows = np.full(filled.shape, np.inf)
-    # Uniform placement in the disc: radius R*sqrt(U); only distances matter.
-    rows[filled] = ppp.radius * np.sqrt(rng.random(total))
+    # Uniform placement in the disc: radius R*sqrt(U), computed in the one
+    # uniform buffer, which is freed before the sort; only distances matter.
+    r = rng.random(total)
+    np.sqrt(r, out=r)
+    r *= ppp.radius
+    rows[filled] = r
+    del r
     rows.sort(axis=1)
     d = rows[filled]
-    del rows  # freed before the gains are drawn, to keep peak memory down
+    del rows, filled  # freed before the gains are drawn, to keep peak memory down
     # Gains are i.i.d., so drawing them after the sort is distribution-identical.
     g = rng.standard_exponential(total)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))

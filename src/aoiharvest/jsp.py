@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import chndtr, ive
+from scipy.special import chndtr, i1e
 # Private name: the Boost ufunc that stats.ncx2.sf calls for nc != 0, without
 # importing scipy.stats (verified bit for bit against SciPy 1.17.1).
 from scipy.special._ufuncs import _ncx2_sf
@@ -93,9 +93,10 @@ def _geometry_sums(ppp: DiscPpp, alpha: float, trials: int, seed: int) -> np.nda
         part = slice(i * chunk, min(trials, (i + 1) * chunk))
         _, starts, d, g = geometry.sample_batch(ppp, part.stop - part.start,
                                                 np.random.default_rng(child))
-        gw = g * d ** -alpha
-        sums[0, part] = gw[starts]
-        sums[1, part] = np.add.reduceat(gw, starts)
+        np.power(d, -alpha, out=d)  # in place: the bits of g * d ** -alpha
+        g *= d
+        sums[0, part] = g[starts]
+        sums[1, part] = np.add.reduceat(g, starts)
     sums.flags.writeable = False
     return sums
 
@@ -184,14 +185,15 @@ def _energy_term(mu, c, z, log_k):
     Equals e^{log_k} (e^{mu/c}/c) ncx2.cdf(2cz; 2, 2mu/c), with a CDF of 1.0 and
     no Boost call where ``_negligible_tail`` bounds the survival function. Below
     c z = 1e-12 it takes the c -> 0 limit sum mu^n z^{n+1}/(n!(n+1)!) =
-    sqrt(z/mu) I_1(2 sqrt(mu z)), whose relative distance to the exact sum is about c z.
+    sqrt(z/mu) I_1(2 sqrt(mu z)), with I_1 scaled by ``i1e``, whose relative
+    distance to the exact sum is about c z.
     """
     mu, c, z, log_k = np.broadcast_arrays(mu, c, z, log_k)
     out = np.empty(z.shape)
     lim = c * z < 1e-12
     y = 2.0 * np.sqrt(mu[lim] * z[lim])
     tiny = y < 1e-100  # 2 I_1(y)/y -> 1
-    i1_ratio = np.where(tiny, 1.0, 2.0 * ive(1, y) / np.where(tiny, 1.0, y))
+    i1_ratio = np.where(tiny, 1.0, 2.0 * i1e(y) / np.where(tiny, 1.0, y))
     out[lim] = np.exp(log_k[lim] + y) * z[lim] * i1_ratio
     gam = ~lim
     a = mu[gam] / c[gam]
@@ -207,17 +209,18 @@ def _sir_term(mu, c, z, log_k):
     """e^{log_k} sum_{n>=0} mu^n/n! tests/oracles.erlang_upper(n + 1, c, z), elementwise, c > 0.
 
     Equals e^{log_k} (e^{mu/c}/c) ncx2.sf(2cz; 2, 2mu/c), with at most one
-    Boost call per node where it can. At x >= mean + 1.1 sd (mean 2 + nc,
-    variance 4 (1 + nc)) Cantelli's inequality puts the survival function below
-    1/2.21, so it is called alone. Elsewhere it is 1 - CDF, which has full
-    relative precision where it is at least 1/2, and 1.0 without a call where
-    ``_negligible_tail`` bounds the CDF; the direct survival function is called
-    only where 1 - CDF is below 1/2, because it raises at tiny x once nc nears 700.
+    Boost call per node where it can. At or above the mean, x >= 2 + nc, the
+    survival function is below 1/2, because a noncentral chi-square's median
+    lies below its mean (Sen 1989, Sankhya A 51), so it is called alone.
+    Elsewhere it is 1 - CDF, which has full relative precision where it is at
+    least 1/2, and 1.0 without a call where ``_negligible_tail`` bounds the
+    CDF; the direct survival function is called only where 1 - CDF is below
+    1/2, because it raises at tiny x once nc nears 700.
     """
     a = mu / c
     x, nc = np.broadcast_arrays(2.0 * c * z, 2.0 * a)
     sf = np.ones(x.shape)
-    direct = x >= 2.0 + nc + 2.2 * np.sqrt(1.0 + nc)
+    direct = x >= 2.0 + nc
     sf[direct] = _ncx2_sf(x[direct], 2.0, nc[direct])
     band = ~direct & ~_negligible_tail(x, nc, upper=False)
     sf[band] = 1.0 - chndtr(x[band], 2.0, nc[band])

@@ -24,9 +24,9 @@ class InvalidConfigError(ValueError):
 
 # Largest mean transmitter count lambda pi R^2. The Monte Carlo sampler's first
 # chunk holds 1,024 trials as rows padded to the largest count, about the mean
-# count m. It peaks near 25 bytes per trial and unit of m (float64 rows, a byte
-# mask, float64 draws and distances; measured 25.2-26.0 at m = 1e3 to 3e4), so
-# 26 kB per unit of m, and this limit keeps it near 1 GB.
+# count m. It peaks near 17 bytes per trial and unit of m (float64 rows, a byte
+# mask and one float64 buffer of draws, then distances; measured 17.2-18.0 at
+# m = 1e3 to 3e4), so 18 kB per unit of m, and this limit keeps it near 0.7 GB.
 MAX_MEAN_COUNT = 4e4
 
 # Service disciplines of the Geo/Geo/1 link in aoi.py, defined here so that

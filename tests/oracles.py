@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import chndtr, gammainc, gammaincc, gammaln, ive, pdtr, pdtrc
+from scipy.special import chndtr, gammainc, gammaincc, gammaln, i1e, ive, pdtr, pdtrc
 from scipy.special._ufuncs import _ncx2_sf
 
 from aoiharvest.aoi import (PaoiStats, QueueParams, QueueTrace, _batch_ci_halfwidth, _check_rates,
@@ -384,7 +384,7 @@ def _lower_gamma_sum(mu, c, z, log_k):
     lim = c * z < 1e-12
     y = 2.0 * np.sqrt(mu[lim] * z[lim])
     tiny = y < 1e-100  # 2 I_1(y)/y -> 1
-    i1_ratio = np.where(tiny, 1.0, 2.0 * ive(1, y) / np.where(tiny, 1.0, y))
+    i1_ratio = np.where(tiny, 1.0, 2.0 * i1e(y) / np.where(tiny, 1.0, y))
     out[lim] = np.exp(log_k[lim] + y) * z[lim] * i1_ratio
     gam = ~lim
     a = mu[gam] / c[gam]

@@ -1,4 +1,6 @@
 import collections
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from aoiharvest.jsp import (
     select_regime,
     wilson_halfwidth,
 )
-from aoiharvest.model import HarvesterModel, NetworkConfig, db_to_watt
+from aoiharvest.model import MAX_MEAN_COUNT, HarvesterModel, NetworkConfig, db_to_watt
 from aoiharvest.quadrature import QuadratureSpec, integrate_adaptive
 
 from oracles import (
@@ -25,6 +27,7 @@ from oracles import (
     integrate_iterated_adaptive,
     jsp_brute_force,
     placement_bound_mc,
+    sample_batch_lexsort,
     saturated_integrand,
 )
 
@@ -315,7 +318,7 @@ def test_upper_gamma_sum_matches_scipy_stats(monkeypatch):
     assert np.count_nonzero(direct) > 50_000
     calls = _chndtr_elements(monkeypatch)
     np.testing.assert_array_equal(jsp._sir_term(mu, c, z, 0.0), np.exp(a) / c * sf)
-    band = np.count_nonzero(x < 2.0 + nc + 2.2 * np.sqrt(1.0 + nc))
+    band = np.count_nonzero(x < 2.0 + nc)
     assert band - calls["chndtr"] > n // 10
 
 
@@ -337,6 +340,30 @@ def test_lower_gamma_sum_matches_chndtr(monkeypatch):
     np.testing.assert_array_equal(got.view(np.int64),
                                   (np.exp(a) / c * chndtr(2.0 * c * z, 2.0, 2.0 * a)).view(np.int64))
 
+
+
+def test_sir_survival_below_half_at_the_mean():
+    """``_sir_term`` calls the survival function alone at x >= 2 + nc, the mean,
+    because there it is below 1/2: a noncentral chi-square's median lies below
+    its mean. So is 1 - CDF, which the plain evaluator computes first, so both
+    routes call the survival function there. Checked up to nc = 2
+    model.MAX_MEAN_COUNT, the largest a bound reaches (nc = 2 mu/c <= 2m);
+    the largest value read 0.4993, at that end."""
+    nc = np.concatenate(([0.0], np.logspace(-8.0, math.log10(2.0 * MAX_MEAN_COUNT), 2000)))
+    x = 2.0 + nc
+    assert np.all(jsp._ncx2_sf(x, 2.0, nc) < 0.5)
+    assert np.all(1.0 - chndtr(x, 2.0, nc) < 0.5)
+
+
+def test_bessel_limit_ratio_matches_mpmath():
+    """The energy term's Bessel limit reads 2 I_1(y)/y as 2 i1e(y)/y, scaled by
+    e^-y. On 3,000 log-spaced y in [1e-8, 1e3] that lies within 4e-15 relative
+    of mpmath at 40 digits: measured 1.6e-15, against 3.6e-15 for ive(1, y)."""
+    mpmath = pytest.importorskip("mpmath")
+    y = np.logspace(-8.0, 3.0, 3000)
+    with mpmath.workdps(40):
+        want = np.array([float(2 * mpmath.besseli(1, v) * mpmath.exp(-v) / v) for v in map(mpmath.mpf, y)])
+    np.testing.assert_allclose(2.0 * jsp.i1e(y) / y, want, rtol=4e-15, atol=0.0)
 
 @pytest.fixture(scope="module")
 def kronrod_nodes():
@@ -390,8 +417,8 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
     """Over the Kronrod nodes above, terms are skipped both for underflow and
     for being below half an ulp of the other term or of their column's peak,
     both terms skip Boost where the complementary tail of their probability is
-    below 2^-56, and the SIR term's survival function is called alone (x >=
-    mean + 1.1 sd) as well as after 1 - CDF. Each evaluated term costs one Boost
+    below 2^-56, and the SIR term's survival function is called alone (x at or
+    above the mean) as well as after 1 - CDF. Each evaluated term costs one Boost
     call, none where its tail is skipped; every call beyond that is the survival
     function after 1 - CDF came out below 1/2. Without the tail skip every node
     keeps its bits; without the ulp skips every node is the sum of both terms."""
@@ -405,7 +432,7 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
 
     for name in ("_energy_term", "_sir_term", "chndtr", "_ncx2_sf"):
         count(name, lambda args: args[0].size)
-    count("ive", lambda args: args[1].size)
+    count("i1e", lambda args: args[0].size)
 
     def tail(x, nc, upper, _fn=jsp._negligible_tail):
         out = _fn(x, nc, upper)
@@ -427,7 +454,7 @@ def test_bound_integrand_branches_all_fire(kronrod_nodes, monkeypatch):
     skipping = evaluate()
     tail_skips, chndtr_calls = nodes["upper_tail"] + nodes["lower_tail"], nodes["chndtr"]
     assert nodes["upper_tail"] > 0 and nodes["lower_tail"] > 0
-    fallback = chndtr_calls + nodes["ive"] + nodes["_ncx2_sf"] - (skipping - tail_skips)
+    fallback = chndtr_calls + nodes["i1e"] + nodes["_ncx2_sf"] - (skipping - tail_skips)
     assert fallback > 0 and nodes["_ncx2_sf"] - fallback > 0
     with monkeypatch.context() as m:
         m.setattr(jsp, "_negligible_tail", lambda x, nc, upper: np.zeros(x.shape, bool))
@@ -674,6 +701,48 @@ def test_cached_sums_are_read_only():
     with pytest.raises(ValueError):
         sums[0, 0] = 1.0
 
+
+
+def test_geometry_sums_match_lexsort_reference(monkeypatch):
+    """Chunk by chunk, the in-place power and product give the bits of
+    g * d ** -alpha on the lexsort reference's draw, read as each trial's
+    serving term and total. Mean count 1,257 over two chunks."""
+    cfg = NetworkConfig(radius=200.0, density=0.01)
+    ppp = DiscPpp.from_config(cfg)
+    sizes = []
+    sample_batch = geometry.sample_batch
+
+    def recording(ppp, trials, rng):
+        sizes.append(trials)
+        return sample_batch(ppp, trials, rng)
+
+    monkeypatch.setattr(geometry, "sample_batch", recording)
+    got = jsp._geometry_sums.__wrapped__(ppp, cfg.alpha, 4000, 3)
+    assert ppp.mean_count >= 1e3 and len(sizes) >= 2
+    want = []
+    for trials, child in zip(sizes, np.random.SeedSequence(3).spawn(len(sizes))):
+        _, starts, d, g = sample_batch_lexsort(ppp, trials, np.random.default_rng(child))
+        gw = g * d ** -cfg.alpha
+        want.append(np.stack((gw[starts], np.add.reduceat(gw, starts))))
+    np.testing.assert_array_equal(got.view(np.int64), np.concatenate(want, axis=1).view(np.int64))
+
+
+@pytest.mark.parametrize("mean_count", [1e3, 4e3])
+def test_monte_carlo_chunk_bytes_per_trial_and_mean_count(mean_count):
+    """model.MAX_MEAN_COUNT rests on this: drawing one 1,024-trial chunk and
+    its sums peaks below 20 bytes per trial and unit of mean count m (float64
+    rows padded to the largest count and their byte mask, then the float64
+    distances and gains). Measured by tracemalloc: 17.2-18.0 at m = 1e3 to
+    3e4, against 25.2-26.0 with the uniform draw, its square root and its
+    scaling in three buffers."""
+    ppp = DiscPpp(density=mean_count / (math.pi * 200.0**2), radius=200.0)
+    tracemalloc.start()
+    try:
+        jsp._geometry_sums.__wrapped__(ppp, 3.0, 1024, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1024 * ppp.mean_count) < 20.0
 
 def test_bound_cache_hit_shared_across_circuits():
     lin = NetworkConfig()

@@ -19,7 +19,8 @@ workload and end-to-end metric, both sides' median and q1-q3, and how
 many of the pairs (runs of one seed on both sides) the change won, ties
 counting for neither side. ``gain`` marks a metric where the change won at
 least nine tenths of the pairs and the medians differ by more than the
-parent's q3 - q1.
+parent's q3 - q1. ``worse`` marks one whose median is worse than the parent's
+by more than that metric's relative ``bound`` in BENCHMARK.json.
 
 ``cli`` runs ``python -m aoiharvest.cli run`` on an empty config for each
 experiment that ``list-experiments`` names, RUNS times per checkout in fresh
@@ -27,7 +28,8 @@ processes, the checkouts taking turns and swapping order from one run to the
 next. It records the checkout's git SHA, the median and quartiles of each
 process's wall time and of its own peak RSS (``os.wait4``; RUSAGE_CHILDREN
 would be the maximum over all children so far), and the SHA-256 of each file
-the first run wrote. Then it runs the Tier-1 suite once per checkout and
+the first run wrote, and prints on stderr each file whose SHA-256 differs
+from the first checkout's. Then it runs the Tier-1 suite once per checkout and
 records its wall time and the counts of its summary line. Both go under the
 keys "cli" and "tier1" of BENCH_<label>.json, whose other keys stay as they
 are.
@@ -79,7 +81,7 @@ def bench(checkout: Path) -> dict:
 
 def compare(parent: Path) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    rules = {m["name"]: (1.0 if m["better"] == "lower" else -1.0, m["bound"]) for m in spec["end_to_end"]}
     old, new = runs(parent), runs(ROOT)
     lines = [next(iter(side.values()))[0]["provenance"]["src_lines"] for side in (old, new)]
     print(f"{'src_lines':27} parent {lines[0]}  change {lines[1]}")
@@ -88,11 +90,13 @@ def compare(parent: Path) -> None:
         seeds = sorted(by_seed[0].keys() & by_seed[1].keys())
         for key in METRICS:
             (p1, pm, p3), (c1, cm, c3) = (quartiles([side[s][key] for s in seeds]) for side in by_seed)
-            sign = 1.0 if lower[key] else -1.0
+            sign, bound = rules[key]
             won = sum(sign * (by_seed[1][s][key] - by_seed[0][s][key]) < 0.0 for s in seeds)
             gain = won >= 0.9 * len(seeds) and sign * (pm - cm) > p3 - p1
+            worse = sign * (cm - pm) > bound * abs(pm)
             print(f"{workload:14} {key:12} parent {pm:.4g} ({p1:.4g}-{p3:.4g})  "
-                  f"change {cm:.4g} ({c1:.4g}-{c3:.4g})  won {won}/{len(seeds)}{'  gain' if gain else ''}")
+                  f"change {cm:.4g} ({c1:.4g}-{c3:.4g})  won {won}/{len(seeds)}"
+                  f"{'  gain' if gain else ''}{'  worse' if worse else ''}")
 
 
 def _timed(args: list[str], checkout: Path, check: bool = True, **kwargs) -> tuple[float, float, str]:
@@ -127,6 +131,11 @@ def cli(runs: int, sides: dict[str, Path]) -> dict[str, dict]:
                 if i == 0:
                     outputs[label] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                       for p in sorted(out_dir.iterdir())}
+    first, *others = sides
+    for label in others:
+        for name in sorted(outputs[first].keys() | outputs[label].keys()):
+            if outputs[first].get(name) != outputs[label].get(name):
+                print(f"{name}: SHA-256 differs between {first} and {label}", file=sys.stderr)
     out = {}
     for label, checkout in sides.items():
         entry = {}
